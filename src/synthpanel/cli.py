@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import hashlib
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -124,12 +125,17 @@ def _default_t_min(period_days: int) -> int:
     return -max(3, round(100 / period_days))
 
 
-def _window(args, period_days: int, data_t_min, data_t_max, pre_factor: int = 1) -> tuple[int, int]:
-    """Resolve the panel window; a defaulted t_min never precedes the data."""
+def _window(args, span, pre_factor: int = 1) -> tuple[int, int]:
+    """Resolve the panel window; a defaulted t_min never precedes the data.
+
+    `span` is the (first, last) day offset of the data from the anchor,
+    or None when there is no data.
+    """
+    data_t_min, data_t_max = (d // args.period_days for d in span) if span else (None, None)
     if args.t_min is not None:
         t_min = args.t_min
     else:
-        t_min = pre_factor * _default_t_min(period_days)
+        t_min = pre_factor * _default_t_min(args.period_days)
         if data_t_min is not None:
             t_min = max(t_min, min(data_t_min, -1))
     if args.t_max is not None:
@@ -139,50 +145,78 @@ def _window(args, period_days: int, data_t_min, data_t_max, pre_factor: int = 1)
     return t_min, t_max
 
 
-def _load_twitter_panels(args, pre_factor: int = 1) -> dict[str, PanelSeries]:
-    if not args.tweets:
-        raise ConfigurationError("this command needs --tweets")
-    lexicons = load_lexicons(args.lexicons)
-    records = bot_filter(read_tweets_csv(args.tweets), lexicons)
-    cal = PeriodCalendar(anchor_date=args.anchor, period_length_days=args.period_days)
-    data_ts = [
-        (r.timestamp.date() - args.anchor).days // args.period_days for r in records
-    ]
-    t_min, t_max = _window(
-        args, args.period_days,
-        min(data_ts) if data_ts else None, max(data_ts) if data_ts else None,
-        pre_factor,
-    )
-    flags = user_period_flags(records, cal, lexicons)
-    if records:
-        return twitter_outcomes(flags, records, cal, lexicons, periods=(t_min, t_max))
-    empty = PanelSeries(
-        outcome_name="", countries=(), periods=tuple(range(t_min, t_max + 1)),
-        values=np.zeros((0, t_max - t_min + 1)),
-    )
-    return {name: empty for name in OUTCOME_NAMES}
+def _day_span(days: list[int]) -> tuple[int, int] | None:
+    return (min(days), max(days)) if days else None
 
 
-def _load_event_panel(args, pre_factor: int = 1) -> PanelSeries:
-    if not args.events:
-        raise ConfigurationError("this command needs --events")
-    cal = PeriodCalendar(anchor_date=args.anchor, period_length_days=args.period_days)
-    records = read_events_csv(args.events)
-    data_ts = [(r.date - args.anchor).days // args.period_days for r in records]
-    t_min, t_max = _window(
-        args, args.period_days,
-        min(data_ts) if data_ts else None, max(data_ts) if data_ts else None,
-        pre_factor,
-    )
-    return event_panel(records, cal, periods=(t_min, t_max))
+class RunInputs:
+    """The input files of one CLI run, each read once and shared by its steps.
+
+    An instance lives as long as one `main()` call, so each run reads its
+    files afresh. The tweet CSV is parsed and bot-filtered once, its flags
+    are built once for the run's calendar and its outcome panels once per
+    window. Callers must not mutate what they get back.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self._twitter_panels: dict[tuple[int, int], dict[str, PanelSeries]] = {}
+
+    @cached_property
+    def calendar(self) -> PeriodCalendar:
+        return PeriodCalendar(
+            anchor_date=self.args.anchor, period_length_days=self.args.period_days
+        )
+
+    @cached_property
+    def tweets(self):
+        """(lexicons, bot-filtered records, their (first, last) day offsets or None)."""
+        if not self.args.tweets:
+            raise ConfigurationError("this command needs --tweets")
+        lexicons = load_lexicons(self.args.lexicons)
+        records = bot_filter(read_tweets_csv(self.args.tweets), lexicons)
+        days = [(r.timestamp.date() - self.args.anchor).days for r in records]
+        return lexicons, records, _day_span(days)
+
+    @cached_property
+    def flags(self):
+        lexicons, records, _ = self.tweets
+        return user_period_flags(records, self.calendar, lexicons)
+
+    @cached_property
+    def events(self):
+        """(event records, their (first, last) day offsets or None)."""
+        if not self.args.events:
+            raise ConfigurationError("this command needs --events")
+        records = read_events_csv(self.args.events)
+        return records, _day_span([(r.date - self.args.anchor).days for r in records])
+
+    def twitter_panels(self, pre_factor: int = 1) -> dict[str, PanelSeries]:
+        lexicons, records, span = self.tweets
+        window = _window(self.args, span, pre_factor)
+        if window not in self._twitter_panels:
+            self._twitter_panels[window] = twitter_outcomes(
+                self.flags, records, self.calendar, lexicons, periods=window
+            )
+        return self._twitter_panels[window]
+
+    def event_panel(self, pre_factor: int = 1) -> PanelSeries:
+        records, span = self.events
+        return event_panel(records, self.calendar, periods=_window(self.args, span, pre_factor))
 
 
-def _outcome_panel(args, outcome: str, pre_factor: int = 1) -> PanelSeries:
+def _transform(args, outcome: str) -> str:
+    if args.transform == "auto":
+        return "level" if outcome in PROPORTION_OUTCOMES else "log1p"
+    return args.transform
+
+
+def _outcome_panel(args, inputs: RunInputs, outcome: str, pre_factor: int = 1) -> PanelSeries:
     """Restricted, transformed panel for one outcome, ready to estimate."""
     if outcome == "events":
-        panel = _load_event_panel(args, pre_factor)
+        panel = inputs.event_panel(pre_factor)
     else:
-        panels = _load_twitter_panels(args, pre_factor)
+        panels = inputs.twitter_panels(pre_factor)
         if outcome not in panels:
             raise ConfigurationError(f"unknown outcome {outcome!r}; choose from {ALL_OUTCOMES}")
         users = panels["users"]
@@ -190,10 +224,7 @@ def _outcome_panel(args, outcome: str, pre_factor: int = 1) -> PanelSeries:
         panel = panels[outcome].select_countries(restricted.countries)
     if args.treated not in panel.countries:
         raise DataError(f"treated country {args.treated!r} not in the restricted panel")
-    transform = args.transform
-    if transform == "auto":
-        transform = "level" if outcome in PROPORTION_OUTCOMES else "log1p"
-    if transform == "log1p":
+    if _transform(args, outcome) == "log1p":
         panel = panel.log1p()
     return panel
 
@@ -224,12 +255,12 @@ EFFECTS_HEADER = ["outcome", "period", "effect", "band_lo", "band_hi", "n_placeb
 # subcommands
 
 
-def cmd_build_panel(args) -> None:
+def cmd_build_panel(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "panels"
     prov = _provenance(args)
-    panels = _load_twitter_panels(args) if args.tweets else {}
+    panels = dict(inputs.twitter_panels()) if args.tweets else {}
     if args.events:
-        panels["events"] = _load_event_panel(args)
+        panels["events"] = inputs.event_panel()
     if not panels:
         raise ConfigurationError("build-panel needs --tweets and/or --events")
     for name in sorted(panels):
@@ -243,11 +274,11 @@ def cmd_build_panel(args) -> None:
     print(f"wrote {len(panels)} panels to {out}")
 
 
-def cmd_estimate(args) -> None:
+def cmd_estimate(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "estimate"
     prov = _provenance(args)
     for outcome in args.outcomes:
-        panel = _outcome_panel(args, outcome)
+        panel = _outcome_panel(args, inputs, outcome)
         cfg = _estimator_config(panel)
         fit, dist = estimate_with_placebos(panel, args.treated, cfg)
         bands = pointwise_band(dist)
@@ -304,11 +335,11 @@ def cmd_estimate(args) -> None:
         )
 
 
-def cmd_placebo(args) -> None:
+def cmd_placebo(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "placebo"
     prov = _provenance(args)
     for outcome in args.outcomes:
-        panel = _outcome_panel(args, outcome)
+        panel = _outcome_panel(args, inputs, outcome)
         cfg = _estimator_config(panel)
         fit, dist = estimate_with_placebos(panel, args.treated, cfg)
         rows = []
@@ -329,13 +360,13 @@ def cmd_placebo(args) -> None:
         print(f"{outcome}: {dist.n_placebos} placebos, {len(dist.excluded)} excluded")
 
 
-def cmd_falsify(args) -> None:
+def cmd_falsify(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "falsify"
     prov = _provenance(args)
     rows = []
     for outcome in args.outcomes:
         # need the fitting window plus the held-out window of pre data
-        panel = _outcome_panel(args, outcome, pre_factor=2)
+        panel = _outcome_panel(args, inputs, outcome, pre_factor=2)
         averaged = falsification_run(
             panel, args.treated, args.period_days, cutoff_days=args.cutoff_days
         )
@@ -360,16 +391,18 @@ def cmd_falsify(args) -> None:
     _write_svg(out / "falsification.svg", chart)
 
 
-def cmd_aggregate(args) -> None:
+def cmd_aggregate(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "aggregate"
     prov = _provenance(args)
     if not args.tweets:
         raise ConfigurationError("aggregate needs --tweets")
+    if len(args.outcomes) != 1:
+        raise ConfigurationError(f"aggregate takes one outcome, got {','.join(args.outcomes)}")
     outcome = args.outcomes[0]
-    lexicons = load_lexicons(args.lexicons)
-    records = read_tweets_csv(args.tweets)
-    first = min((r.timestamp.date() - args.anchor).days for r in records) if records else -1
-    last = max((r.timestamp.date() - args.anchor).days for r in records) if records else 0
+    if outcome not in OUTCOME_NAMES:
+        raise ConfigurationError(f"aggregate takes a Twitter outcome, not {outcome!r}")
+    lexicons, records, span = inputs.tweets
+    first, last = span if span else (-1, 0)
     if args.t_min is not None:
         pre_days = abs(args.t_min) * args.period_days
     else:
@@ -383,6 +416,7 @@ def cmd_aggregate(args) -> None:
         levels=tuple(args.levels),
         restriction=SampleRestriction(parameter=args.restriction),
         outcome=outcome,
+        transform=_transform(args, outcome),
         window_days=(pre_days, post_days),
     )
     for level in sorted(results):
@@ -405,7 +439,7 @@ def cmd_aggregate(args) -> None:
         )
 
 
-def cmd_diffusion(args) -> None:
+def cmd_diffusion(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "diffusion"
     prov = _provenance(args)
     params = PopulationParams(
@@ -437,19 +471,19 @@ def cmd_diffusion(args) -> None:
     print(f"wrote diffusion curves for {len(qs)} prices to {out}")
 
 
-def cmd_all_figures(args) -> None:
-    cmd_build_panel(args)
-    cmd_estimate(args)
-    cmd_placebo(args)
-    cmd_falsify(args)
+def cmd_all_figures(args, inputs: RunInputs) -> None:
+    cmd_build_panel(args, inputs)
+    cmd_estimate(args, inputs)
+    cmd_placebo(args, inputs)
+    cmd_falsify(args, inputs)
     if args.tweets:
         saved = args.outcomes
         args.outcomes = ["users"]
         try:
-            cmd_aggregate(args)
+            cmd_aggregate(args, inputs)
         finally:
             args.outcomes = saved
-    cmd_diffusion(args)
+    cmd_diffusion(args, inputs)
     print("all artifacts written")
 
 
@@ -563,8 +597,13 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
         given = _explicit_flags(argv if argv is not None else sys.argv[1:])
         for key, value in file_values.items():
             if key in vars(args) and key not in given:
-                if key == "anchor" and isinstance(value, str):
-                    value = dt.date.fromisoformat(value)
+                if key == "anchor":
+                    try:
+                        value = dt.date.fromisoformat(str(value))
+                    except ValueError:
+                        raise ConfigurationError(
+                            f"{args.config}: anchor {value!r} is not an ISO date (YYYY-MM-DD)"
+                        ) from None
                 setattr(args, key, value)
     if not 0.0 < args.restriction <= 1.0:
         raise ConfigurationError("restriction parameter must be in (0, 1]")
@@ -594,7 +633,7 @@ def _explicit_flags(argv: list[str]) -> set[str]:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(argv)
-        args.func(args)
+        args.func(args, RunInputs(args))
         return 0
     except InferenceError as exc:
         print(f"inference error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 from .classify import TweetRecord, bot_filter, twitter_outcomes, user_period_flags
 from .errors import DataError, InferenceError, PanelRangeError
 from .panel import PanelSeries, PeriodCalendar, SampleRestriction, restrict_sample
-from .synth import SynthFit, SynthProblem, fit_synth, optimize_v
+from .synth import SynthFit, SynthProblem, fit_synth, optimize_v, package_fit
 
 MIN_PLACEBO_DONORS = 5
 SIGMA_FLOOR_RATIO = 1e-12
@@ -97,8 +97,9 @@ def run_unit_fit(
         Y=panel,
     )
     if cfg.optimize_v:
-        v_diag, _ = optimize_v(problem)
-        return fit_synth(problem, v_diag)
+        # the search already fitted the weights for the V it returns
+        v_diag, weights = optimize_v(problem)
+        return package_fit(problem, weights, v_diag)
     return fit_synth(problem)
 
 

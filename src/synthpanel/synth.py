@@ -311,7 +311,13 @@ def optimize_v(
 
 def fit_synth(problem: SynthProblem, v_diag: np.ndarray | None = None) -> SynthFit:
     """Fit weights (with the given or uniform V) and package the results."""
-    weights = fit_weights(problem, v_diag)
+    return package_fit(problem, fit_weights(problem, v_diag), v_diag)
+
+
+def package_fit(
+    problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None
+) -> SynthFit:
+    """Effects and pre-period RMSE of weights already fitted under `v_diag`."""
     p = len(problem.pre_periods)
     v = np.full(p, 1.0 / p) if v_diag is None else np.asarray(v_diag, dtype=float)
     effects = effect_series(problem, weights)

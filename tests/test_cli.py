@@ -1,10 +1,12 @@
 import csv
+import datetime as dt
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from synthpanel import cli, inference
 from synthpanel.cli import main
 from synthpanel.demo import CorpusSpec, write_corpus
 
@@ -37,6 +39,24 @@ def read_rows(path: Path):
 def run_in(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return main(argv)
+
+
+def ten_day_effects(corpus: Path, tmp_path, monkeypatch, outcome: str):
+    """Period -> effect from `estimate` and from `aggregate --levels 10`."""
+    tweets = str(corpus / "tweets.csv")
+    assert run_in(tmp_path, monkeypatch,
+                  ["estimate", "--tweets", tweets, "--outcome", outcome, "--out", "out_est"]) == 0
+    assert run_in(tmp_path, monkeypatch,
+                  ["aggregate", "--tweets", tweets, "--levels", "10",
+                   "--outcome", outcome, "--out", "out_agg"]) == 0
+    est = read_rows(tmp_path / "out_est" / "estimate" / f"{outcome}_effects.csv")
+    agg = read_rows(tmp_path / "out_agg" / "aggregate" / "level_10_effects.csv")
+    return {r["period"]: r["effect"] for r in est}, {r["period"]: r["effect"] for r in agg}
+
+
+def without_provenance(path: Path) -> bytes:
+    data = path.read_bytes()
+    return data.split(b"\n", 1)[1] if data.startswith(b"# synthpanel") else data
 
 
 class TestBuildPanel:
@@ -192,21 +212,45 @@ class TestFalsifyAndAggregate:
         assert abs(value) < 0.15
 
     def test_aggregate_ten_day_matches_estimate(self, corpus_dir, tmp_path, monkeypatch):
-        run_in(
-            tmp_path, monkeypatch,
-            ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
-             "--outcome", "users", "--out", "out_est"],
+        est_map, agg_map = ten_day_effects(corpus_dir, tmp_path, monkeypatch, "users")
+        assert est_map == agg_map
+
+    def test_aggregate_keeps_proportions_in_levels(self, corpus_dir, tmp_path, monkeypatch):
+        # --transform auto leaves proportion outcomes untransformed, as estimate does
+        est_map, agg_map = ten_day_effects(
+            corpus_dir, tmp_path, monkeypatch, "prop_collective_users"
         )
-        run_in(
+        assert est_map == agg_map
+
+    def test_aggregate_window_ignores_bot_tweets(self, tmp_path, monkeypatch):
+        spec = CorpusSpec(countries=CLI_SPEC.countries, pre_days=60, post_days=30,
+                          base_users=6.0, treated_user_drop=0.30, seed=78)
+        write_corpus(tmp_path / "data", spec)
+        # a bot tweet 80 days before the anchor, earlier than every human tweet
+        bot_day = (spec.anchor - dt.timedelta(days=80)).isoformat()
+        with open(tmp_path / "data" / "tweets.csv", "a", encoding="utf-8", newline="") as f:
+            csv.writer(f).writerow([
+                "bot1", "botuser", f"{bot_day}T12:00:00Z", "UG", "hello", "web",
+                "2017-01-01T00:00:00Z", "10", "weather", "", "en", "en",
+            ])
+        est_map, agg_map = ten_day_effects(tmp_path / "data", tmp_path, monkeypatch, "users")
+        assert min(map(int, est_map)) == -6  # the human tweets start 60 days out
+        assert est_map == agg_map
+
+    @pytest.mark.parametrize("outcome", ["users,tweets", "events"])
+    def test_aggregate_takes_one_twitter_outcome(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, outcome
+    ):
+        code = run_in(
             tmp_path, monkeypatch,
             ["aggregate", "--tweets", str(corpus_dir / "tweets.csv"),
-             "--levels", "10", "--outcome", "users", "--out", "out_agg"],
+             "--events", str(corpus_dir / "events.csv"),
+             "--levels", "10", "--outcome", outcome, "--out", "out"],
         )
-        est = read_rows(tmp_path / "out_est" / "estimate" / "users_effects.csv")
-        agg = read_rows(tmp_path / "out_agg" / "aggregate" / "level_10_effects.csv")
-        est_map = {r["period"]: r["effect"] for r in est}
-        agg_map = {r["period"]: r["effect"] for r in agg}
-        assert est_map == agg_map
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: aggregate takes")
+        assert err.count("\n") == 1
 
     def test_aggregate_weekly_level_runs(self, corpus_dir, tmp_path, monkeypatch):
         code = run_in(
@@ -275,6 +319,14 @@ class TestConfigFile:
         code = run_in(tmp_path, monkeypatch, ["build-panel", "--config", "run.toml"])
         assert code == 2
 
+    def test_invalid_anchor_date(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "run.toml").write_text('anchor = "2018-13-01"\n')
+        code = run_in(tmp_path, monkeypatch, ["diffusion", "--config", "run.toml"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "anchor" in err
+        assert err.count("\n") == 1
+
 
 class TestThreadInvariance:
     def test_output_bytes_independent_of_thread_cap(self, corpus_dir, tmp_path, monkeypatch):
@@ -305,3 +357,77 @@ class TestPlaceboCommand:
         assert set(rows[0]) == {"outcome", "donor", "period", "raw_effect", "scaled_effect", "sigma"}
         donors = {r["donor"] for r in rows}
         assert "UG" not in donors  # the treated unit never enters the distribution
+
+
+# the 200 pre days let falsification's doubled pre window reach past estimate's
+LONG_SPEC = CorpusSpec(
+    countries=CLI_SPEC.countries, pre_days=200, post_days=30, base_users=4.0, seed=79,
+)
+OUTCOMES = ["--outcome", "users,prop_collective_users,events"]
+
+
+class CallCounter:
+    """Wraps a function and records `key(*args)` for each call."""
+
+    def __init__(self, fn, key=lambda *args: args[0]):
+        self.fn, self.key, self.seen = fn, key, []
+
+    def __call__(self, *args, **kwargs):
+        self.seen.append(self.key(*args))
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def all_figures_run(tmp_path_factory):
+    """One all-figures run on the long corpus, with its ingest calls counted."""
+    root = tmp_path_factory.mktemp("shared_ingest")
+    write_corpus(root / "data", LONG_SPEC)
+    period_days = lambda records, cal, lexicons: cal.period_length_days  # noqa: E731
+    counters = {
+        "tweets": CallCounter(cli.read_tweets_csv),
+        "events": CallCounter(cli.read_events_csv),
+        "cli_flags": CallCounter(cli.user_period_flags, period_days),
+        "suite_flags": CallCounter(inference.user_period_flags, period_days),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "read_tweets_csv", counters["tweets"])
+        mp.setattr(cli, "read_events_csv", counters["events"])
+        mp.setattr(cli, "user_period_flags", counters["cli_flags"])
+        mp.setattr(inference, "user_period_flags", counters["suite_flags"])
+        code = main(["all-figures", "--tweets", str(root / "data" / "tweets.csv"),
+                     "--events", str(root / "data" / "events.csv"), *OUTCOMES,
+                     "--levels", "10,28", "--q-steps", "2", "--grid-n", "201",
+                     "--out", str(root / "all")])
+    assert code == 0
+    return root, {name: c.seen for name, c in counters.items()}
+
+
+class TestSharedIngest:
+    def test_all_figures_reads_each_input_once(self, all_figures_run):
+        root, seen = all_figures_run
+        assert seen["tweets"] == [str(root / "data" / "tweets.csv")]
+        assert seen["events"] == [str(root / "data" / "events.csv")]
+        assert seen["cli_flags"] == [10]  # one calendar for every outcome and window
+        assert seen["suite_flags"] == [10, 28]  # one per aggregation level
+
+    def test_each_run_reads_its_inputs_afresh(self, tmp_path, monkeypatch):
+        shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")
+        reads = CallCounter(cli.read_tweets_csv)
+        monkeypatch.setattr(cli, "read_tweets_csv", reads)
+        argv = ["build-panel", "--tweets", "tweets.csv", "--t-min", "-2", "--out", "out"]
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        assert reads.seen == ["tweets.csv", "tweets.csv"]
+
+    def test_all_figures_matches_standalone_commands(self, all_figures_run, monkeypatch):
+        root, _ = all_figures_run
+        inputs = ["--tweets", str(root / "data" / "tweets.csv"),
+                  "--events", str(root / "data" / "events.csv")]
+        for command in ("estimate", "placebo", "falsify"):
+            argv = [command, *inputs, *OUTCOMES, "--out", str(root / "alone")]
+            assert run_in(root, monkeypatch, argv) == 0
+            produced = sorted((root / "all" / command).iterdir())
+            alone = sorted((root / "alone" / command).iterdir())
+            assert [p.name for p in produced] == [p.name for p in alone]
+            for p, q in zip(produced, alone):
+                assert without_provenance(p) == without_provenance(q), p.name
