@@ -514,97 +514,103 @@ def _split_outcomes(raw: str) -> list[str]:
     return outcomes
 
 
+def _add_outcome(parser: argparse.ArgumentParser, default: str = "users") -> None:
+    parser.add_argument("--outcome", type=str, default=default, help="comma-separated outcome names")
+
+
+def _add_falsify(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cutoff-days", type=int, default=100)
+
+
+def _add_aggregate(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--levels", type=str, default="1,7,10,28")
+
+
+def _add_diffusion(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mu-c", type=float, default=1.0)
+    parser.add_argument("--mu-w", type=float, default=0.5)
+    parser.add_argument("--sigma-c", type=float, default=1.0)
+    parser.add_argument("--sigma-w", type=float, default=1.0)
+    parser.add_argument("--rho", type=float, default=-0.5)
+    parser.add_argument("--response", choices=("linear", "logistic"), default="linear")
+    parser.add_argument("--slope", type=float, default=1.0)
+    parser.add_argument("--scale", type=float, default=1.5)
+    parser.add_argument("--steepness", type=float, default=8.0)
+    parser.add_argument("--midpoint", type=float, default=0.5)
+    parser.add_argument("--q-min", type=float, default=0.0)
+    parser.add_argument("--q-max", type=float, default=1.0)
+    parser.add_argument("--q-steps", type=int, default=5)
+    parser.add_argument("--grid-n", type=int, default=2001)
+
+
+def _add_all_outcomes(parser: argparse.ArgumentParser) -> None:
+    _add_outcome(parser, default=",".join(ALL_OUTCOMES))
+
+
+# the flag groups each subcommand takes on top of the common flags;
+# all-figures takes every group its steps take
+_FLAG_GROUPS = {
+    "build-panel": (),
+    "estimate": (_add_outcome,),
+    "placebo": (_add_outcome,),
+    "falsify": (_add_outcome, _add_falsify),
+    "aggregate": (_add_aggregate, _add_outcome),
+    "diffusion": (_add_diffusion,),
+    "all-figures": (_add_all_outcomes, _add_falsify, _add_aggregate, _add_diffusion),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    _add_common(parser)
+    for add in _FLAG_GROUPS[command]:
+        add(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="synthpanel", description=__doc__)
     parser.add_argument("--version", action="version", version=f"synthpanel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-panel", help="write per-outcome panel CSVs")
-    _add_common(p)
-    p.set_defaults(func=cmd_build_panel)
-
-    p = sub.add_parser("estimate", help="synthetic-control effects with placebo bands")
-    _add_common(p)
-    p.add_argument("--outcome", dest="outcome", type=str, default="users",
-                   help="comma-separated outcome names")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("placebo", help="emit the scaled placebo distribution")
-    _add_common(p)
-    p.add_argument("--outcome", dest="outcome", type=str, default="users")
-    p.set_defaults(func=cmd_placebo)
-
-    p = sub.add_parser("falsify", help="restricted-fit falsification over held-out pre periods")
-    _add_common(p)
-    p.add_argument("--outcome", dest="outcome", type=str, default="users")
-    p.add_argument("--cutoff-days", type=int, default=100)
-    p.set_defaults(func=cmd_falsify)
-
-    p = sub.add_parser("aggregate", help="re-estimate at 1/7/10/28-day aggregation")
-    _add_common(p)
-    p.add_argument("--levels", type=str, default="1,7,10,28")
-    p.add_argument("--outcome", dest="outcome", type=str, default="users")
-    p.set_defaults(func=cmd_aggregate)
-
-    p = sub.add_parser("diffusion", help="equilibrium tables and phi curves over a price sweep")
-    _add_common(p)
-    p.add_argument("--mu-c", type=float, default=1.0)
-    p.add_argument("--mu-w", type=float, default=0.5)
-    p.add_argument("--sigma-c", type=float, default=1.0)
-    p.add_argument("--sigma-w", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=-0.5)
-    p.add_argument("--response", choices=("linear", "logistic"), default="linear")
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--scale", type=float, default=1.5)
-    p.add_argument("--steepness", type=float, default=8.0)
-    p.add_argument("--midpoint", type=float, default=0.5)
-    p.add_argument("--q-min", type=float, default=0.0)
-    p.add_argument("--q-max", type=float, default=1.0)
-    p.add_argument("--q-steps", type=int, default=5)
-    p.add_argument("--grid-n", type=int, default=2001)
-    p.set_defaults(func=cmd_diffusion)
-
-    p = sub.add_parser("all-figures", help="run the full artifact pipeline")
-    _add_common(p)
-    p.add_argument("--outcome", dest="outcome", type=str, default=",".join(ALL_OUTCOMES))
-    p.add_argument("--cutoff-days", type=int, default=100)
-    p.add_argument("--levels", type=str, default="1,7,10,28")
-    p.add_argument("--mu-c", type=float, default=1.0)
-    p.add_argument("--mu-w", type=float, default=0.5)
-    p.add_argument("--sigma-c", type=float, default=1.0)
-    p.add_argument("--sigma-w", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=-0.5)
-    p.add_argument("--response", choices=("linear", "logistic"), default="linear")
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--scale", type=float, default=1.5)
-    p.add_argument("--steepness", type=float, default=8.0)
-    p.add_argument("--midpoint", type=float, default=0.5)
-    p.add_argument("--q-min", type=float, default=0.0)
-    p.add_argument("--q-max", type=float, default=1.0)
-    p.add_argument("--q-steps", type=int, default=5)
-    p.add_argument("--grid-n", type=int, default=2001)
-    p.set_defaults(func=cmd_all_figures)
-
+    for command, help_text, func in (
+        ("build-panel", "write per-outcome panel CSVs", cmd_build_panel),
+        ("estimate", "synthetic-control effects with placebo bands", cmd_estimate),
+        ("placebo", "emit the scaled placebo distribution", cmd_placebo),
+        ("falsify", "restricted-fit falsification over held-out pre periods", cmd_falsify),
+        ("aggregate", "re-estimate at 1/7/10/28-day aggregation", cmd_aggregate),
+        ("diffusion", "equilibrium tables and phi curves over a price sweep", cmd_diffusion),
+        ("all-figures", "run the full artifact pipeline", cmd_all_figures),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        _add_flags(p, command)
+        p.set_defaults(func=func)
     return parser
 
 
+def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+    """Set the --config file's values for flags not given on the command line.
+
+    Each value goes through its flag's type conversion and choice check,
+    so a file value means what the same flag would.
+    """
+    flags = argparse.ArgumentParser(exit_on_error=False)
+    _add_flags(flags, args.command)
+    given = _explicit_flags(argv)
+    for key, value in _parse_flat_config(args.config).items():
+        if key not in vars(args) or key in given:
+            continue
+        try:
+            parsed, unknown = flags.parse_known_args([f"--{key.replace('_', '-')}={value}"])
+        except argparse.ArgumentError as exc:
+            raise ConfigurationError(f"{args.config}: {key}: {exc.message}") from None
+        if unknown:
+            raise ConfigurationError(f"{args.config}: {key} is not a {args.command} setting")
+        setattr(args, key, getattr(parsed, key))
+
+
 def _resolve(argv: list[str] | None) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
     if args.config is not None:
-        file_values = _parse_flat_config(args.config)
-        # file provides defaults; explicit flags win
-        given = _explicit_flags(argv if argv is not None else sys.argv[1:])
-        for key, value in file_values.items():
-            if key in vars(args) and key not in given:
-                if key == "anchor":
-                    try:
-                        value = dt.date.fromisoformat(str(value))
-                    except ValueError:
-                        raise ConfigurationError(
-                            f"{args.config}: anchor {value!r} is not an ISO date (YYYY-MM-DD)"
-                        ) from None
-                setattr(args, key, value)
+        _apply_config(args, argv)  # explicit flags win over the file
     if not 0.0 < args.restriction <= 1.0:
         raise ConfigurationError("restriction parameter must be in (0, 1]")
     for attr in ("tweets", "events", "lexicons"):

@@ -4,10 +4,8 @@ restricted-window falsification, and aggregation robustness."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,24 +64,6 @@ class AveragedEffect:
             raise InferenceError("band endpoints out of order")
 
 
-def thread_count() -> int:
-    """Parallelism cap from SYNTHPANEL_THREADS (default: sequential)."""
-    raw = os.environ.get("SYNTHPANEL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply fn preserving item order, optionally across a thread pool."""
-    workers = min(thread_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_unit_fit(
     panel: PanelSeries, unit: str, pool: Sequence[str], cfg: EstimatorConfig
 ) -> SynthFit:
@@ -129,14 +109,9 @@ def placebo_distribution(
         raise InferenceError("outcome panel is identically zero; placebo scaling undefined")
     floor = cfg.sigma_floor_ratio * scale
 
-    def one_placebo(donor: str) -> SynthFit:
-        pool = tuple(d for d in donors if d != donor)
-        return run_unit_fit(panel, donor, pool, cfg)
-
-    fits = _map_ordered(one_placebo, donors)
-
     included, raw, scaled, sigmas, excluded = [], [], [], [], []
-    for donor, fit in zip(donors, fits):
+    for donor in donors:
+        fit = run_unit_fit(panel, donor, tuple(d for d in donors if d != donor), cfg)
         if fit.rmse_pre < floor:
             excluded.append((donor, f"pre-period rmse {fit.rmse_pre:.3e} below floor {floor:.3e}"))
             continue

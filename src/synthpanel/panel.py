@@ -175,20 +175,17 @@ class PanelSeries:
 class SampleRestriction:
     """Which countries stay in the estimation sample.
 
-    twitter-top-share keeps countries whose average unique active users
-    per period lie in the top `parameter` share; events-intersection keeps
-    countries observed in both event datasets (applied at event-panel
-    construction, not here).
+    Keeps countries whose average unique active users per period lie in
+    the top `parameter` share. The event outcome's restriction to
+    countries observed in both event datasets happens when the event
+    panel is built.
     """
 
-    kind: str = "twitter-top-share"
     parameter: float = 0.8
 
     def __post_init__(self):
-        if self.kind not in ("twitter-top-share", "events-intersection"):
-            raise ConfigurationError(f"unknown restriction kind {self.kind!r}")
-        if self.kind == "twitter-top-share" and not 0.0 < self.parameter <= 1.0:
-            raise ConfigurationError("twitter-top-share parameter must be in (0, 1]")
+        if not 0.0 < self.parameter <= 1.0:
+            raise ConfigurationError("restriction parameter must be in (0, 1]")
 
 
 def build_panel(
@@ -244,15 +241,10 @@ def restrict_sample(panel: PanelSeries, restriction: SampleRestriction) -> Panel
     Operates on a levels panel of unique active users. Retention quota is
     ceil(parameter * n); ties at the cutoff average are kept.
     """
-    if restriction.kind != "twitter-top-share":
-        raise ConfigurationError(
-            f"restriction kind {restriction.kind!r} is applied during panel "
-            "construction, not by restrict_sample"
-        )
     averages = panel.values.mean(axis=1)
     n = len(panel.countries)
     quota = min(n, max(1, math.ceil(restriction.parameter * n)))
-    threshold = np.sort(averages)[::-1][quota - 1]
+    threshold = np.sort(averages)[::-1][quota - 1] if n else 0.0
     keep = [c for c, avg in zip(panel.countries, averages) if avg >= threshold]
     if len(keep) < 3:
         raise InsufficientDonorsError(

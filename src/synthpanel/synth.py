@@ -15,12 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InferenceError
 from .panel import PanelSeries
 
-_PG_TOL = 1e-10
-_F_TOL = 1e-14
-_MAX_ITER = 100_000
 _SIMPLEX_TOL = 1e-9
 
 
@@ -83,16 +80,6 @@ class SynthFit:
     rmse_pre: float
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort algorithm)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u - css / idx > 0][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def _equality_solve(A: np.ndarray, b: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray | None:
     """Minimizer over {w: sum w = 1, w zero off idx}, ignoring nonnegativity.
 
@@ -113,28 +100,25 @@ def _equality_solve(A: np.ndarray, b: np.ndarray, idx: np.ndarray, n: int) -> np
     return target
 
 
-def _active_set_qp(A: np.ndarray, b: np.ndarray, w_start: np.ndarray) -> np.ndarray | None:
-    """Primal active-set refinement seeded from a feasible iterate.
+def _solve_simplex_qp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimize w'Aw - 2b'w over the simplex by a primal active-set method.
 
-    Alternates equality solves on the working support with ratio-test
-    drops and most-negative-gradient additions; returns a simplex point
-    that satisfies the support KKT conditions, or None when the cycle cap
-    is hit (the caller's projected-gradient loop then keeps going).
+    Starts at uniform weights with every donor in the working support,
+    then alternates equality solves on the support with ratio-test drops
+    and most-negative-gradient additions until the support KKT conditions
+    hold. Raises InferenceError when no such point is found within the
+    cycle cap or a KKT solve is not finite.
     """
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise DataError("non-finite outcome values in fitting window")
     n = b.size
-    w = np.clip(w_start, 0.0, None)
-    total = w.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        return None
-    w = w / total
-    support = w > 1e-15
+    w = np.full(n, 1.0 / n)
+    support = np.ones(n, dtype=bool)
     for _ in range(8 * n + 16):
         idx = np.flatnonzero(support)
-        if idx.size == 0:
-            return None
         target = _equality_solve(A, b, idx, n)
         if target is None:
-            return None
+            break
         if target[idx].min() >= -1e-12:
             w = np.clip(target, 0.0, None)
             w = w / w.sum()
@@ -151,73 +135,14 @@ def _active_set_qp(A: np.ndarray, b: np.ndarray, w_start: np.ndarray) -> np.ndar
             direction = target - w  # sums to zero, so the move stays on the plane
             movers = idx[direction[idx] < -1e-18]
             if movers.size == 0:
-                return None
+                break
             steps = -w[movers] / direction[movers]
             k_drop = int(np.argmin(steps))
             w = np.clip(w + max(0.0, float(steps[k_drop])) * direction, 0.0, None)
             w[movers[k_drop]] = 0.0
             support[movers[k_drop]] = False
-            total = w.sum()
-            if total <= 0.0:
-                return None
-            w = w / total
-    return None
-
-
-def _solve_simplex_qp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimize w'Aw - 2b'w over the simplex, started at uniform weights.
-
-    Accelerated projected gradient with a monotone safeguard; the iterate
-    is periodically replaced by the exact solution restricted to its
-    support when that solution is feasible and better. Convergence is
-    declared when the projected-gradient residual drops below 1e-10 or
-    the objective improves by less than 1e-14.
-    """
-    n = b.size
-    w = np.full(n, 1.0 / n)
-    eigmax = float(np.linalg.eigvalsh(A)[-1]) if n > 0 else 0.0
-    lipschitz = 2.0 * max(eigmax, 0.0)
-    if not math.isfinite(lipschitz):
-        raise DataError("non-finite outcome values in fitting window")
-    if lipschitz <= 0.0:
-        return w  # constant objective: return the deterministic seed
-    step = 1.0 / lipschitz
-
-    def objective(x):
-        return float(x @ A @ x - 2.0 * (b @ x))
-
-    def gradient(x):
-        return 2.0 * (A @ x - b)
-
-    f_w = objective(w)
-    y = w
-    t_momentum = 1.0
-    for iteration in range(_MAX_ITER):
-        candidate = project_simplex(y - step * gradient(y))
-        f_candidate = objective(candidate)
-        if f_candidate > f_w:
-            candidate = project_simplex(w - step * gradient(w))
-            f_candidate = objective(candidate)
-            y = candidate
-            t_momentum = 1.0
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            y = candidate + ((t_momentum - 1.0) / t_next) * (candidate - w)
-            t_momentum = t_next
-        if iteration % 10 == 0:
-            refined = _active_set_qp(A, b, candidate)
-            if refined is not None:
-                f_refined = objective(refined)
-                if f_refined <= f_candidate:
-                    candidate, f_candidate = refined, f_refined
-                    y = candidate
-                    t_momentum = 1.0
-        residual = np.linalg.norm(candidate - project_simplex(candidate - gradient(candidate)))
-        improvement = f_w - f_candidate
-        w, f_w = candidate, f_candidate
-        if residual < _PG_TOL or (iteration > 0 and 0.0 <= improvement < _F_TOL):
-            break
-    return w
+            w = w / w.sum()
+    raise InferenceError(f"simplex weight solver found no optimum for {n} donors")
 
 
 def _design(problem: SynthProblem, v_diag: np.ndarray | None):

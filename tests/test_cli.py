@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthpanel import cli, inference
+from synthpanel import cli, inference, synth
 from synthpanel.cli import main
 from synthpanel.demo import CorpusSpec, write_corpus
 
@@ -187,6 +187,28 @@ class TestExitCodes:
         assert code == 2
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "placebo", "falsify", "aggregate"])
+    def test_header_only_tweets_is_data_error(self, tmp_path, monkeypatch, capsys, command):
+        header = (DATA / "tweets_fixture.csv").read_text().splitlines()[0]
+        (tmp_path / "tweets.csv").write_text(header + "\n")
+        code = run_in(tmp_path, monkeypatch, [command, "--tweets", "tweets.csv", "--out", "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: sample restriction retains 0 countries")
+        assert err.count("\n") == 1
+
+    def test_solver_failure_is_inference_error(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(synth, "_equality_solve", lambda *args: None)
+        code = run_in(
+            tmp_path, monkeypatch,
+            ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
+             "--outcome", "users", "--out", "out"],
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inference error: simplex weight solver")
+        assert err.count("\n") == 1
+
     def test_missing_input_path(self, tmp_path, monkeypatch):
         code = run_in(
             tmp_path, monkeypatch,
@@ -320,29 +342,32 @@ class TestConfigFile:
         assert code == 2
 
     def test_invalid_anchor_date(self, tmp_path, monkeypatch, capsys):
-        (tmp_path / "run.toml").write_text('anchor = "2018-13-01"\n')
-        code = run_in(tmp_path, monkeypatch, ["diffusion", "--config", "run.toml"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "anchor" in err
-        assert err.count("\n") == 1
+        # each value is checked by its flag's type or choices, as on the command line
+        for line in ('anchor = "2018-13-01"', 'restriction = "abc"', 't_min = "x"',
+                     'transform = "cube"'):
+            (tmp_path / "run.toml").write_text(line + "\n")
+            code = run_in(tmp_path, monkeypatch, ["diffusion", "--config", "run.toml"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert line.split(" = ")[0] in err
+            assert err.count("\n") == 1
 
 
-class TestThreadInvariance:
-    def test_output_bytes_independent_of_thread_cap(self, corpus_dir, tmp_path, monkeypatch):
-        argv = ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
-                "--outcome", "users", "--out", "out"]
-        monkeypatch.setenv("SYNTHPANEL_THREADS", "1")
-        assert run_in(tmp_path, monkeypatch, argv) == 0
-        sequential = {
-            p.name: p.read_bytes() for p in (tmp_path / "out" / "estimate").iterdir()
-        }
-        monkeypatch.setenv("SYNTHPANEL_THREADS", "4")
-        assert run_in(tmp_path, monkeypatch, argv) == 0
-        threaded = {
-            p.name: p.read_bytes() for p in (tmp_path / "out" / "estimate").iterdir()
-        }
-        assert sequential == threaded
+def command_defaults(command: str) -> dict:
+    args = cli.build_parser().parse_args([command])
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+
+
+class TestFlags:
+    def test_all_figures_takes_the_flags_of_its_steps(self):
+        steps: dict = {}
+        for command in ("estimate", "falsify", "aggregate", "diffusion"):
+            for key, value in command_defaults(command).items():
+                assert steps.setdefault(key, value) == value, key  # same meaning everywhere
+        combined = command_defaults("all-figures")
+        assert combined.pop("outcome") == ",".join(cli.ALL_OUTCOMES)
+        del steps["outcome"]
+        assert combined == steps
 
 
 class TestPlaceboCommand:

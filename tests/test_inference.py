@@ -75,14 +75,6 @@ class TestPlaceboDistribution:
         _, dist_b = estimate_with_placebos(panel2, TREATED, default_cfg(panel2))
         assert np.array_equal(dist_a.scaled_effects, dist_b.scaled_effects)
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
-        panel = small_panel(seed=9)
-        _, seq = estimate_with_placebos(panel, TREATED, default_cfg(panel))
-        monkeypatch.setenv("SYNTHPANEL_THREADS", "4")
-        _, par = estimate_with_placebos(panel, TREATED, default_cfg(panel))
-        assert np.array_equal(seq.scaled_effects, par.scaled_effects)
-        assert seq.donors == par.donors
-
 
 class TestPointwiseBand:
     def test_median_of_symmetric_set(self):
