@@ -411,6 +411,8 @@ def cmd_aggregate(args, inputs: RunInputs) -> None:
         post_days = (args.t_max + 1) * args.period_days
     else:
         post_days = max(1, last + 1)
+    # the run's flags serve the level on the run's calendar
+    run_flags = {inputs.calendar: inputs.flags} if args.period_days in args.levels else None
     results = aggregation_suite(
         records, lexicons, args.treated, args.anchor,
         levels=tuple(args.levels),
@@ -418,6 +420,7 @@ def cmd_aggregate(args, inputs: RunInputs) -> None:
         outcome=outcome,
         transform=_transform(args, outcome),
         window_days=(pre_days, post_days),
+        flags_by_calendar=run_flags,
     )
     for level in sorted(results):
         res = results[level]
@@ -624,7 +627,12 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
         if not args.outcomes:
             raise ConfigurationError("no estimable outcomes requested")
     if hasattr(args, "levels") and isinstance(args.levels, str):
-        args.levels = [int(x) for x in args.levels.split(",") if x.strip()]
+        try:
+            args.levels = [int(x) for x in args.levels.split(",") if x.strip()]
+        except ValueError:
+            raise ConfigurationError(
+                f"levels must be comma-separated day counts, got {args.levels!r}"
+            ) from None
     return args
 
 

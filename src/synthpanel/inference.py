@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import TweetRecord, bot_filter, twitter_outcomes, user_period_flags
+from .classify import TweetRecord, UserPeriodFlags, twitter_outcomes, user_period_flags
 from .errors import DataError, InferenceError, PanelRangeError
 from .panel import PanelSeries, PeriodCalendar, SampleRestriction, restrict_sample
 from .synth import SynthFit, SynthProblem, fit_synth, optimize_v, package_fit
@@ -261,24 +261,29 @@ def aggregation_suite(
     outcome: str = "users",
     transform: str = "log1p",
     window_days: tuple[int, int] | None = None,
+    flags_by_calendar: Mapping[PeriodCalendar, Sequence[UserPeriodFlags]] | None = None,
 ) -> dict[int, AggregationLevelResult]:
-    """Rebuild the pipeline from raw tweets at each aggregation level.
+    """Rebuild the pipeline from bot-filtered tweets at each aggregation level.
 
-    Sample restriction, panel construction, fitting-window subsampling,
-    and the V search (for subsampled levels) are all recomputed per level.
-    `window_days` clips the panel to (pre_days, post_days) around the
-    anchor so every level covers the same calendar span.
+    `tweets` must already be bot-filtered. Sample restriction, panel
+    construction, fitting-window subsampling, and the V search (for
+    subsampled levels) are all recomputed per level; the user-period
+    flags are taken from `flags_by_calendar` for a level whose calendar is
+    there and built from `tweets` otherwise. `window_days` clips the
+    panel to (pre_days, post_days) around the anchor so every level
+    covers the same calendar span.
     """
-    filtered = bot_filter(tweets, lexicons)
     results = {}
     for level in levels:
         cal = PeriodCalendar(anchor_date=anchor_date, period_length_days=level)
-        flags = user_period_flags(filtered, cal, lexicons)
+        flags = (flags_by_calendar or {}).get(cal)
+        if flags is None:
+            flags = user_period_flags(tweets, cal, lexicons)
         periods = None
         if window_days is not None:
             pre_days, post_days = window_days
             periods = (-math.ceil(pre_days / level), math.ceil(post_days / level) - 1)
-        panels = twitter_outcomes(flags, filtered, cal, lexicons, periods=periods)
+        panels = twitter_outcomes(flags, tweets, cal, lexicons, periods=periods)
         restricted_users = restrict_sample(panels["users"], restriction)
         if treated not in restricted_users.countries:
             raise DataError(f"treated unit {treated!r} dropped by the sample restriction")

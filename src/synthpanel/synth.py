@@ -88,7 +88,7 @@ def _equality_solve(A: np.ndarray, b: np.ndarray, idx: np.ndarray, n: int) -> np
     """
     k = idx.size
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * A[np.ix_(idx, idx)]
+    kkt[:k, :k] = 2.0 * A[idx][:, idx]
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
     rhs = np.concatenate([2.0 * b[idx], [1.0]])
@@ -162,12 +162,15 @@ def _design(problem: SynthProblem, v_diag: np.ndarray | None):
     return x0, X1, v
 
 
-def fit_weights(problem: SynthProblem, v_diag: np.ndarray | None = None) -> WeightVector:
-    """Donor weights minimizing the V-weighted pre-period discrepancy."""
-    x0, X1, v = _design(problem, v_diag)
+def _weights(x0: np.ndarray, X1: np.ndarray, v: np.ndarray) -> WeightVector:
     A = X1.T @ (v[:, None] * X1)
     b = X1.T @ (v * x0)
     return WeightVector(w=_solve_simplex_qp(A, b))
+
+
+def fit_weights(problem: SynthProblem, v_diag: np.ndarray | None = None) -> WeightVector:
+    """Donor weights minimizing the V-weighted pre-period discrepancy."""
+    return _weights(*_design(problem, v_diag))
 
 
 def fit_objective(problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None) -> float:
@@ -177,10 +180,15 @@ def fit_objective(problem: SynthProblem, weights: WeightVector, v_diag: np.ndarr
     return float(r @ (v * r))
 
 
+def _panel_rows(problem: SynthProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The treated row and the donors x periods matrix over the full panel."""
+    treated = problem.Y.series(problem.treated)
+    return treated, np.array([problem.Y.series(d) for d in problem.donors])
+
+
 def effect_series(problem: SynthProblem, weights: WeightVector) -> np.ndarray:
     """Treated minus synthetic outcome at every panel period, pre and post."""
-    treated = problem.Y.series(problem.treated)
-    donors = np.array([problem.Y.series(d) for d in problem.donors])
+    treated, donors = _panel_rows(problem)
     return treated - weights.w @ donors
 
 
@@ -198,13 +206,31 @@ def optimize_v(
 
     Deterministic coordinate refinement from the uniform diagonal with a
     halving step schedule; each candidate diagonal is scored by refitting
-    the weights and evaluating MSPE on the full pre window. The returned
+    the weights and evaluating MSPE on the full pre window. The design
+    matrices and panel rows are built once per search, and a candidate
+    that comes back (clamped coordinates recur after each step halving)
+    is not solved again. Every candidate is solved from uniform weights,
+    so its weights do not depend on the path that reached it. The returned
     diagonal is never worse than uniform.
     """
-    p = len(problem.pre_periods)
-    v = np.full(p, 1.0 / p)
-    w = fit_weights(problem, v)
-    best = mspe(problem, w, problem.all_pre_periods)
+    x0, X1, v = _design(problem, None)
+    treated, donors = _panel_rows(problem)
+    idx = [problem.Y.period_index(t) for t in problem.all_pre_periods]
+    scored: dict[bytes, tuple[WeightVector, float]] = {}
+
+    def fit_and_score(candidate: np.ndarray) -> tuple[WeightVector, float]:
+        key = candidate.tobytes()
+        if key not in scored:
+            # a cold solve, not one warm-started from the incumbent's
+            # support: when A is rank-deficient (V concentrated on few
+            # periods) the two starts reach different minimizers with equal
+            # objectives, and the search would then take another path
+            w = _weights(x0, X1, candidate)
+            effects = treated - w.w @ donors
+            scored[key] = (w, float(np.mean(effects[idx] ** 2)))
+        return scored[key]
+
+    w, best = fit_and_score(v)
     if set(problem.pre_periods) == set(problem.all_pre_periods):
         # degenerate case: the search objective equals the fit objective,
         # so the uniform diagonal is already optimal
@@ -212,7 +238,7 @@ def optimize_v(
     step = 0.5
     for _ in range(max_iterations):
         improved = False
-        for i in range(p):
+        for i in range(v.size):
             for direction in (1.0, -1.0):
                 candidate = v.copy()
                 candidate[i] = max(0.0, candidate[i] + direction * step)
@@ -220,10 +246,9 @@ def optimize_v(
                 if total <= 0.0:
                     continue
                 candidate /= total
-                if np.allclose(candidate, v, rtol=0.0, atol=1e-15):
+                if np.abs(candidate - v).max() <= 1e-15:
                     continue
-                w_candidate = fit_weights(problem, candidate)
-                score = mspe(problem, w_candidate, problem.all_pre_periods)
+                w_candidate, score = fit_and_score(candidate)
                 if score < best - 1e-15:
                     v, w, best = candidate, w_candidate, score
                     improved = True

@@ -209,6 +209,16 @@ class TestExitCodes:
         assert err.startswith("inference error: simplex weight solver")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_bad_levels_is_configuration_error(self, tmp_path, monkeypatch, capsys, where):
+        (tmp_path / "run.toml").write_text('levels = "1,abc"\n')
+        given = ["--levels", "1,abc"] if where == "flag" else ["--config", "run.toml"]
+        code = run_in(tmp_path, monkeypatch, ["aggregate", *given, "--out", "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: levels must be comma-separated day counts")
+        assert err.count("\n") == 1
+
     def test_missing_input_path(self, tmp_path, monkeypatch):
         code = run_in(
             tmp_path, monkeypatch,
@@ -413,12 +423,14 @@ def all_figures_run(tmp_path_factory):
         "events": CallCounter(cli.read_events_csv),
         "cli_flags": CallCounter(cli.user_period_flags, period_days),
         "suite_flags": CallCounter(inference.user_period_flags, period_days),
+        "bot_filter": CallCounter(cli.bot_filter, lambda records, lexicons: len(records)),
     }
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "read_tweets_csv", counters["tweets"])
         mp.setattr(cli, "read_events_csv", counters["events"])
         mp.setattr(cli, "user_period_flags", counters["cli_flags"])
         mp.setattr(inference, "user_period_flags", counters["suite_flags"])
+        mp.setattr(cli, "bot_filter", counters["bot_filter"])
         code = main(["all-figures", "--tweets", str(root / "data" / "tweets.csv"),
                      "--events", str(root / "data" / "events.csv"), *OUTCOMES,
                      "--levels", "10,28", "--q-steps", "2", "--grid-n", "201",
@@ -433,7 +445,8 @@ class TestSharedIngest:
         assert seen["tweets"] == [str(root / "data" / "tweets.csv")]
         assert seen["events"] == [str(root / "data" / "events.csv")]
         assert seen["cli_flags"] == [10]  # one calendar for every outcome and window
-        assert seen["suite_flags"] == [10, 28]  # one per aggregation level
+        assert seen["suite_flags"] == [28]  # the 10-day level reuses the run's flags
+        assert len(seen["bot_filter"]) == 1
 
     def test_each_run_reads_its_inputs_afresh(self, tmp_path, monkeypatch):
         shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from dgp import TREATED, factor_panel
 from oracles import quantile_sorted
-from synthpanel.classify import load_lexicons, read_tweets_csv
+from synthpanel import inference
+from synthpanel.classify import bot_filter, load_lexicons, read_tweets_csv, user_period_flags
 from synthpanel.demo import CorpusSpec, write_corpus
 from synthpanel.errors import InferenceError, PanelRangeError
 from synthpanel.inference import (
@@ -20,7 +21,7 @@ from synthpanel.inference import (
     pointwise_band,
     run_unit_fit,
 )
-from synthpanel.panel import PanelSeries
+from synthpanel.panel import PanelSeries, PeriodCalendar
 
 
 def default_cfg(panel):
@@ -226,7 +227,7 @@ class TestAggregationHelpers:
         )
         write_corpus(tmp_path, spec)
         lexicons = load_lexicons()
-        records = read_tweets_csv(tmp_path / "tweets.csv")
+        records = bot_filter(read_tweets_csv(tmp_path / "tweets.csv"), lexicons)
         results = aggregation_suite(
             records, lexicons, "UG", spec.anchor,
             levels=(1, 7, 10, 28), window_days=(60, 20),
@@ -238,3 +239,30 @@ class TestAggregationHelpers:
         assert results[10].fit.v_diag == pytest.approx(
             np.full(len(results[10].fit.v_diag), 1 / len(results[10].fit.v_diag))
         )
+
+    def test_given_flags_are_reused(self, tmp_path, monkeypatch):
+        spec = CorpusSpec(
+            countries=("UG", "KE", "GH", "RW", "TZ", "ZM", "ZW"),
+            pre_days=60, post_days=20, base_users=6.0, seed=17,
+        )
+        write_corpus(tmp_path, spec)
+        lexicons = load_lexicons()
+        records = bot_filter(read_tweets_csv(tmp_path / "tweets.csv"), lexicons)
+        cal = PeriodCalendar(anchor_date=spec.anchor, period_length_days=10)
+        ten_day = user_period_flags(records, cal, lexicons)
+        built = []
+
+        def counting(records, cal, lexicons):
+            built.append(cal.period_length_days)
+            return user_period_flags(records, cal, lexicons)
+
+        monkeypatch.setattr(inference, "user_period_flags", counting)
+        args = (records, lexicons, "UG", spec.anchor)
+        kwargs = dict(levels=(10, 28), window_days=(60, 20))
+        fresh = aggregation_suite(*args, **kwargs)
+        assert built == [10, 28]
+        reused = aggregation_suite(*args, **kwargs, flags_by_calendar={cal: ten_day})
+        assert built == [10, 28, 28]
+        for level in (10, 28):
+            assert np.array_equal(reused[level].fit.effects, fresh[level].fit.effects)
+            assert np.array_equal(reused[level].bands, fresh[level].bands)

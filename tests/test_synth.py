@@ -272,3 +272,74 @@ class TestOptimizeV:
             v, _ = optimize_v(problem)
             corrupted_weights.append(v[list(problem.pre_periods).index(-6)])
         assert np.mean(corrupted_weights) < 1.0 / 4  # uniform would be 1/4
+
+    def search_case(self, name):
+        """Subsampled problems for checking the V search itself."""
+        if name.startswith("seed"):
+            return self.make_subsampled(int(name[4:]))
+        base = self.make_subsampled(0)
+        panel, donors, fit_pre = base.Y, base.donors, base.pre_periods
+        if name == "duplicate-donor":
+            values = np.vstack([panel.values, panel.series(donors[2])])
+            panel = PanelSeries(panel.outcome_name, panel.countries + ("C99",), panel.periods, values)
+            donors = donors + ("C99",)
+        elif name == "two-periods":
+            # the first step already puts all of V on one period: A has rank 1
+            fit_pre = (-7, -1)
+        return SynthProblem(
+            TREATED, donors, fit_pre, base.all_pre_periods, base.post_periods, panel
+        )
+
+    SEARCH_CASES = ("seed0", "seed1", "seed2", "seed3", "duplicate-donor", "two-periods")
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_matches_one_refit_per_candidate(self, case):
+        # the search written as one public fit_weights/mspe call per candidate
+        problem = self.search_case(case)
+        p = len(problem.pre_periods)
+        v = np.full(p, 1.0 / p)
+        w = fit_weights(problem, v)
+        best = mspe(problem, w, problem.all_pre_periods)
+        step = 0.5
+        for _ in range(200):
+            improved = False
+            for i in range(p):
+                for direction in (1.0, -1.0):
+                    candidate = v.copy()
+                    candidate[i] = max(0.0, candidate[i] + direction * step)
+                    total = candidate.sum()
+                    if total <= 0.0:
+                        continue
+                    candidate /= total
+                    if np.allclose(candidate, v, rtol=0.0, atol=1e-15):
+                        continue
+                    w_candidate = fit_weights(problem, candidate)
+                    score = mspe(problem, w_candidate, problem.all_pre_periods)
+                    if score < best - 1e-15:
+                        v, w, best = candidate, w_candidate, score
+                        improved = True
+            if not improved:
+                step *= 0.5
+                if step < 1e-6:
+                    break
+        v_search, w_search = optimize_v(problem)
+        assert np.array_equal(v_search, v)
+        assert np.array_equal(w_search.w, w.w)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_local_optimum_at_final_step(self, case):
+        # no move of the last step tried (0.5 * 2**-18 with the default
+        # min_step) on any coordinate lowers the full-pre MSPE
+        problem = self.search_case(case)
+        v, w = optimize_v(problem)
+        best = mspe(problem, w, problem.all_pre_periods)
+        step = 0.5 * 2.0**-18
+        for i in range(v.size):
+            for direction in (1.0, -1.0):
+                candidate = v.copy()
+                candidate[i] = max(0.0, candidate[i] + direction * step)
+                candidate /= candidate.sum()
+                if np.abs(candidate - v).max() <= 1e-15:
+                    continue
+                score = mspe(problem, fit_weights(problem, candidate), problem.all_pre_periods)
+                assert score >= best - 1e-15, (i, direction)
