@@ -15,11 +15,13 @@ from .panel import (
 from .classify import (
     PhraseLexicon,
     TweetRecord,
+    TweetTable,
     UserPeriodFlags,
     bot_filter,
     load_lexicons,
     match_phrases,
     read_tweets_csv,
+    tweet_table,
     twitter_outcomes,
     user_period_flags,
 )

@@ -1,5 +1,6 @@
-"""Tweet classification: lexicon matching, bot filtering, per-user-period
-flags, and the per-country-period Twitter outcome panels."""
+"""Tweet classification: lexicon matching, bot filtering, the columnar
+tweet table, per-user-period flags, and the per-country-period Twitter
+outcome panels."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, SchemaError
-from .panel import PanelSeries, PeriodCalendar, assign_period
+from .errors import ConfigurationError, DataError, PanelRangeError, SchemaError
+from .panel import PanelSeries, PeriodCalendar, day_offsets
 
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
@@ -123,20 +124,54 @@ class TweetRecord:
     tweet_lang: str
 
 
-@dataclass(frozen=True)
-class UserPeriodFlags:
-    """Classification flags for one user in one country-period."""
+# bits of TweetTable.bits: lexicon hits of one tweet
+APPLE_SOURCE = 1  # source
+STUDENT = 2  # user description or location
+COLLECTIVE = 4  # text
+POLITICAL = 8  # text
+TAX = 16  # "tax" in a collective text
 
-    user_id: str
-    country_code: str
-    period: int
-    active: bool
-    new_account: bool
-    infrequent: bool
-    not_apple: bool
-    student: bool
-    activist: bool
-    political: bool
+
+@dataclass(frozen=True, eq=False)
+class TweetTable:
+    """Bot-filtered tweets as columns, each text classified once.
+
+    Row i is one tweet: `day` and `created_day` are the UTC day offsets
+    of the tweet and of its account's creation from `anchor_date`,
+    `user` and `country` are integer codes (`country` indexes the sorted
+    `countries`), and `bits` is its lexicon bitmask. `infrequent` is
+    indexed by user code and fixed at the user's first tweet.
+    """
+
+    anchor_date: dt.date
+    countries: tuple[str, ...]
+    day: np.ndarray
+    created_day: np.ndarray
+    user: np.ndarray
+    country: np.ndarray
+    bits: np.ndarray
+    infrequent: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class UserPeriodFlags:
+    """Classification flags per (user, country, period) of one calendar.
+
+    Columns hold one entry per group of a user's tweets in one
+    country-period, ordered by (user code, country code, period);
+    `tweet_period` is the period of each table row.
+    """
+
+    tweet_period: np.ndarray
+    user: np.ndarray
+    country: np.ndarray
+    period: np.ndarray
+    new_account: np.ndarray
+    infrequent: np.ndarray
+    not_apple: np.ndarray
+    student: np.ndarray
+    activist: np.ndarray
+    political: np.ndarray
 
 
 def _parse_timestamp(raw: str, row: int, column: str) -> dt.datetime:
@@ -206,137 +241,147 @@ def bot_filter(
     return [r for r in records if not match_phrases(r.user_description, bot)]
 
 
-def user_period_flags(
-    records: Sequence[TweetRecord],
-    cal: PeriodCalendar,
-    lexicons: dict[str, PhraseLexicon],
-) -> list[UserPeriodFlags]:
-    """Reduce bot-filtered tweets to per (user, country, period) flags.
+def tweet_table(
+    records: Sequence[TweetRecord], lexicons: dict[str, PhraseLexicon], anchor_date: dt.date
+) -> TweetTable:
+    """Classify bot-filtered tweets once into a column table for any calendar.
 
-    `infrequent` is a user-level flag fixed at the user's first appearance
-    in the dataset: statuses_count divided by whole days since account
-    creation (floored at one day) below one tweet per day.
+    Each text is ASCII-lowercased and matched once (sources, descriptions
+    and locations once per distinct value). A user's `infrequent` flag
+    comes from their first tweet by (timestamp, tweet_id): statuses_count
+    divided by whole days since account creation (floored at one day)
+    below one tweet per day. A tweet or account-creation date outside
+    1970-2100 raises PanelRangeError.
     """
-    apple = lexicons["apple_source"]
-    student_lex = lexicons["student"]
-    collective = lexicons["collective"]
-    political = lexicons["political"]
-
+    collective = lexicons["collective"].phrases
+    political = lexicons["political"].phrases
+    apple = {s: match_phrases(s, lexicons["apple_source"]) for s in {r.source for r in records}}
+    student = {
+        s: match_phrases(s, lexicons["student"])
+        for s in {r.user_description for r in records} | {r.user_location for r in records}
+    }
+    bits = np.zeros(len(records), dtype=np.uint8)
     first_seen: dict[str, TweetRecord] = {}
-    for r in records:
+    for i, r in enumerate(records):
+        low = ascii_lower(r.text)
+        b = APPLE_SOURCE if apple[r.source] else 0
+        if student[r.user_description] or student[r.user_location]:
+            b |= STUDENT
+        if any(p in low for p in collective):
+            b |= COLLECTIVE | (TAX if "tax" in low else 0)
+        if any(p in low for p in political):
+            b |= POLITICAL
+        bits[i] = b
         cur = first_seen.get(r.user_id)
         if cur is None or (r.timestamp, r.tweet_id) < (cur.timestamp, cur.tweet_id):
             first_seen[r.user_id] = r
-    infrequent_by_user = {}
+    users = {u: code for code, u in enumerate(sorted(first_seen))}
+    countries = tuple(sorted({r.country_code for r in records}))
+    country_code = {c: code for code, c in enumerate(countries)}
+    infrequent = np.zeros(len(users), dtype=bool)
     for user_id, r in first_seen.items():
         days = max(1, (r.timestamp - r.user_created_at).days)
-        infrequent_by_user[user_id] = r.statuses_count / days < 1.0
+        infrequent[users[user_id]] = r.statuses_count / days < 1.0
+    return TweetTable(
+        anchor_date=anchor_date,
+        countries=countries,
+        day=day_offsets([r.timestamp for r in records], anchor_date),
+        created_day=day_offsets([r.user_created_at for r in records], anchor_date),
+        user=np.array([users[r.user_id] for r in records], dtype=np.int64),
+        country=np.array([country_code[r.country_code] for r in records], dtype=np.int64),
+        bits=bits,
+        infrequent=infrequent,
+    )
 
-    groups: dict[tuple[str, str, int], list[TweetRecord]] = {}
-    for r in records:
-        groups.setdefault((r.user_id, r.country_code, assign_period(r.timestamp, cal)), []).append(r)
 
-    flags = []
-    for (user_id, country, period) in sorted(groups):
-        tweets = groups[(user_id, country, period)]
-        # min() keeps the flag order-independent if records disagree on
-        # the account creation time
-        created_period = assign_period(min(t.user_created_at for t in tweets), cal)
-        flags.append(
-            UserPeriodFlags(
-                user_id=user_id,
-                country_code=country,
-                period=period,
-                active=True,
-                new_account=created_period == period,
-                infrequent=infrequent_by_user[user_id],
-                not_apple=not any(match_phrases(t.source, apple) for t in tweets),
-                student=any(
-                    match_phrases(t.user_description, student_lex)
-                    or match_phrases(t.user_location, student_lex)
-                    for t in tweets
-                ),
-                activist=any(match_phrases(t.text, collective) for t in tweets),
-                political=any(match_phrases(t.text, political) for t in tweets),
-            )
+def user_period_flags(table: TweetTable, cal: PeriodCalendar) -> UserPeriodFlags:
+    """Reduce the table to per (user, country, period) flags under `cal`.
+
+    A group is a new account when the earliest account-creation day of
+    its tweets falls in its period, so the flag does not depend on record
+    order. The anchors of `cal` and the table must agree.
+    """
+    if cal.anchor_date != table.anchor_date:
+        raise ConfigurationError(
+            f"calendar anchor {cal.anchor_date} differs from the tweet table's {table.anchor_date}"
         )
-    return flags
+    length = cal.period_length_days
+    period = table.day // length
+    first, last = (int(period.min()), int(period.max())) if len(period) else (0, 0)
+    span = last - first + 1
+    # one integer key per (user, country, period) group
+    key = (table.user * len(table.countries) + table.country) * span + (period - first)
+    groups, group_of = np.unique(key, return_inverse=True)
+    bits = np.zeros(len(groups), dtype=np.uint8)
+    np.bitwise_or.at(bits, group_of, table.bits)
+    created = np.full(len(groups), np.iinfo(np.int64).max)
+    np.minimum.at(created, group_of, table.created_day)
+    group_period = groups % span + first
+    user, country = np.divmod(groups // span, len(table.countries))
+    return UserPeriodFlags(
+        tweet_period=period,
+        user=user,
+        country=country,
+        period=group_period,
+        new_account=created // length == group_period,
+        infrequent=table.infrequent[user],
+        not_apple=bits & APPLE_SOURCE == 0,
+        student=bits & STUDENT != 0,
+        activist=bits & COLLECTIVE != 0,
+        political=bits & POLITICAL != 0,
+    )
 
 
 def twitter_outcomes(
-    flags: Sequence[UserPeriodFlags],
-    records: Sequence[TweetRecord],
-    cal: PeriodCalendar,
-    lexicons: dict[str, PhraseLexicon],
+    flags: UserPeriodFlags,
+    table: TweetTable,
     periods: tuple[int, int] | None = None,
 ) -> dict[str, PanelSeries]:
     """All per-country-period Twitter outcome panels, in levels.
 
     Count outcomes stay raw so callers can build log(1 + level) variants;
     proportions are emitted directly with zero-denominator cells set to 0
-    and flagged.
+    and flagged. Every country of the table gets a row; `periods` forces
+    the (t_min, t_max) range, otherwise it spans the tweets.
     """
-    collective = lexicons["collective"]
-    political = lexicons["political"]
-
-    user_counts = {name: {} for name in USER_COUNT_OUTCOMES}
-    for f in flags:
-        cell = (f.country_code, f.period)
-        for name, value in (
-            ("users", f.active),
-            ("new_accounts", f.new_account),
-            ("infrequent_users", f.infrequent),
-            ("not_apple_users", f.not_apple),
-            ("student_users", f.student),
-            ("activist_users", f.activist),
-            ("political_users", f.political),
-        ):
-            if value:
-                user_counts[name][cell] = user_counts[name].get(cell, 0) + 1
-
-    tweet_counts = {name: {} for name in TWEET_COUNT_OUTCOMES}
-    tax_collective: dict[tuple[str, int], int] = {}
-    for r in records:
-        cell = (r.country_code, assign_period(r.timestamp, cal))
-        tweet_counts["tweets"][cell] = tweet_counts["tweets"].get(cell, 0) + 1
-        if match_phrases(r.text, collective):
-            tweet_counts["collective_tweets"][cell] = (
-                tweet_counts["collective_tweets"].get(cell, 0) + 1
-            )
-            if "tax" in ascii_lower(r.text):
-                tax_collective[cell] = tax_collective.get(cell, 0) + 1
-        if match_phrases(r.text, political):
-            tweet_counts["political_tweets"][cell] = (
-                tweet_counts["political_tweets"].get(cell, 0) + 1
-            )
-
     if periods is None:
-        all_ts = [t for counts in tweet_counts.values() for _, t in counts]
-        if not all_ts:
+        if not len(flags.tweet_period):
             raise DataError("no tweets and no explicit period range")
-        periods = (min(all_ts), max(all_ts))
-    countries = tuple(
-        sorted(
-            {c for counts in tweet_counts.values() for c, _ in counts}
-            | {f.country_code for f in flags}
-        )
-    )
+        periods = (int(flags.tweet_period.min()), int(flags.tweet_period.max()))
+    lo, hi = periods
+    if lo > hi:
+        raise PanelRangeError(f"empty period range {lo}..{hi}")
+    countries = table.countries
+    shape = (len(countries), hi - lo + 1)
 
-    def to_panel(cells: dict[tuple[str, int], int], name: str) -> PanelSeries:
-        lo, hi = periods
-        values = np.zeros((len(countries), hi - lo + 1))
-        for (c, t), count in cells.items():
-            if lo <= t <= hi and c in countries:
-                values[countries.index(c), t - lo] = count
+    def to_panel(country: np.ndarray, period: np.ndarray, where: np.ndarray, name: str) -> PanelSeries:
+        keep = where & (lo <= period) & (period <= hi)
+        cells = country[keep] * shape[1] + (period[keep] - lo)
         return PanelSeries(
             outcome_name=name,
             countries=countries,
             periods=tuple(range(lo, hi + 1)),
-            values=values,
+            values=np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape),
         )
 
-    panels = {name: to_panel(user_counts[name], name) for name in USER_COUNT_OUTCOMES}
-    panels.update({name: to_panel(tweet_counts[name], name) for name in TWEET_COUNT_OUTCOMES})
+    def user_panel(where: np.ndarray, name: str) -> PanelSeries:
+        return to_panel(flags.country, flags.period, where, name)
+
+    def tweet_panel(where: np.ndarray, name: str) -> PanelSeries:
+        return to_panel(table.country, flags.tweet_period, where, name)
+
+    panels = {
+        "users": user_panel(np.ones(len(flags.period), dtype=bool), "users"),
+        "new_accounts": user_panel(flags.new_account, "new_accounts"),
+        "infrequent_users": user_panel(flags.infrequent, "infrequent_users"),
+        "not_apple_users": user_panel(flags.not_apple, "not_apple_users"),
+        "student_users": user_panel(flags.student, "student_users"),
+        "activist_users": user_panel(flags.activist, "activist_users"),
+        "political_users": user_panel(flags.political, "political_users"),
+        "tweets": tweet_panel(np.ones(len(table.bits), dtype=bool), "tweets"),
+        "collective_tweets": tweet_panel(table.bits & COLLECTIVE != 0, "collective_tweets"),
+        "political_tweets": tweet_panel(table.bits & POLITICAL != 0, "political_tweets"),
+    }
 
     def ratio_panel(numer: PanelSeries, denom: PanelSeries, name: str) -> PanelSeries:
         zero = denom.values == 0
@@ -358,7 +403,7 @@ def twitter_outcomes(
         panels["collective_tweets"], panels["tweets"], "prop_collective_tweets"
     )
     panels["tax_mention_share"] = ratio_panel(
-        to_panel(tax_collective, "tax_mention_share"),
+        tweet_panel(table.bits & TAX != 0, "tax_mention_share"),
         panels["collective_tweets"],
         "tax_mention_share",
     )

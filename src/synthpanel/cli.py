@@ -21,9 +21,12 @@ from . import __version__
 from .classify import (
     OUTCOME_NAMES,
     PROPORTION_OUTCOMES,
+    TweetTable,
+    UserPeriodFlags,
     bot_filter,
     load_lexicons,
     read_tweets_csv,
+    tweet_table,
     twitter_outcomes,
     user_period_flags,
 )
@@ -142,20 +145,24 @@ def _window(args, span, pre_factor: int = 1) -> tuple[int, int]:
         t_max = args.t_max
     else:
         t_max = max(0, data_t_max) if data_t_max is not None else 0
+    if t_min > t_max:
+        raise PanelRangeError(f"empty window: t_min {t_min} is after t_max {t_max}")
     return t_min, t_max
 
 
-def _day_span(days: list[int]) -> tuple[int, int] | None:
-    return (min(days), max(days)) if days else None
+def _day_span(days) -> tuple[int, int] | None:
+    days = np.asarray(days)
+    return (int(days.min()), int(days.max())) if days.size else None
 
 
 class RunInputs:
     """The input files of one CLI run, each read once and shared by its steps.
 
     An instance lives as long as one `main()` call, so each run reads its
-    files afresh. The tweet CSV is parsed and bot-filtered once, its flags
-    are built once for the run's calendar and its outcome panels once per
-    window. Callers must not mutate what they get back.
+    files afresh. The tweet CSV is parsed, bot-filtered and classified
+    into one tweet table; its flags are built once for the run's calendar
+    and its outcome panels once per window. Callers must not mutate what
+    they get back.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -169,19 +176,17 @@ class RunInputs:
         )
 
     @cached_property
-    def tweets(self):
-        """(lexicons, bot-filtered records, their (first, last) day offsets or None)."""
+    def tweets(self) -> TweetTable:
+        """The bot-filtered tweets, classified once, as a table."""
         if not self.args.tweets:
             raise ConfigurationError("this command needs --tweets")
         lexicons = load_lexicons(self.args.lexicons)
         records = bot_filter(read_tweets_csv(self.args.tweets), lexicons)
-        days = [(r.timestamp.date() - self.args.anchor).days for r in records]
-        return lexicons, records, _day_span(days)
+        return tweet_table(records, lexicons, self.args.anchor)
 
     @cached_property
-    def flags(self):
-        lexicons, records, _ = self.tweets
-        return user_period_flags(records, self.calendar, lexicons)
+    def flags(self) -> UserPeriodFlags:
+        return user_period_flags(self.tweets, self.calendar)
 
     @cached_property
     def events(self):
@@ -192,11 +197,10 @@ class RunInputs:
         return records, _day_span([(r.date - self.args.anchor).days for r in records])
 
     def twitter_panels(self, pre_factor: int = 1) -> dict[str, PanelSeries]:
-        lexicons, records, span = self.tweets
-        window = _window(self.args, span, pre_factor)
+        window = _window(self.args, _day_span(self.tweets.day), pre_factor)
         if window not in self._twitter_panels:
             self._twitter_panels[window] = twitter_outcomes(
-                self.flags, records, self.calendar, lexicons, periods=window
+                self.flags, self.tweets, periods=window
             )
         return self._twitter_panels[window]
 
@@ -401,7 +405,7 @@ def cmd_aggregate(args, inputs: RunInputs) -> None:
     outcome = args.outcomes[0]
     if outcome not in OUTCOME_NAMES:
         raise ConfigurationError(f"aggregate takes a Twitter outcome, not {outcome!r}")
-    lexicons, records, span = inputs.tweets
+    span = _day_span(inputs.tweets.day)
     first, last = span if span else (-1, 0)
     if args.t_min is not None:
         pre_days = abs(args.t_min) * args.period_days
@@ -411,16 +415,13 @@ def cmd_aggregate(args, inputs: RunInputs) -> None:
         post_days = (args.t_max + 1) * args.period_days
     else:
         post_days = max(1, last + 1)
-    # the run's flags serve the level on the run's calendar
-    run_flags = {inputs.calendar: inputs.flags} if args.period_days in args.levels else None
     results = aggregation_suite(
-        records, lexicons, args.treated, args.anchor,
+        inputs.tweets, args.treated,
         levels=tuple(args.levels),
         restriction=SampleRestriction(parameter=args.restriction),
         outcome=outcome,
         transform=_transform(args, outcome),
         window_days=(pre_days, post_days),
-        flags_by_calendar=run_flags,
     )
     for level in sorted(results):
         res = results[level]
@@ -633,6 +634,8 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
             raise ConfigurationError(
                 f"levels must be comma-separated day counts, got {args.levels!r}"
             ) from None
+        if not args.levels:
+            raise ConfigurationError("levels names no aggregation level")
     return args
 
 

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, PanelRangeError, SchemaError
 from .panel import PanelSeries, PeriodCalendar, assign_period
 
 DATASETS = ("ACLED", "ICEWS")
@@ -117,6 +117,8 @@ def event_panel(
     if periods is None:
         periods = (min(ts), max(ts))
     lo, hi = periods
+    if lo > hi:
+        raise PanelRangeError(f"empty period range {lo}..{hi}")
     countries = tuple(sorted(both))
     values = np.zeros((len(countries), hi - lo + 1))
     for dataset in DATASETS:

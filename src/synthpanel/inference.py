@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .classify import TweetRecord, UserPeriodFlags, twitter_outcomes, user_period_flags
+from .classify import TweetTable, twitter_outcomes, user_period_flags
 from .errors import DataError, InferenceError, PanelRangeError
 from .panel import PanelSeries, PeriodCalendar, SampleRestriction, restrict_sample
 from .synth import SynthFit, SynthProblem, fit_synth, optimize_v, package_fit
@@ -252,38 +252,32 @@ class AggregationLevelResult:
 
 
 def aggregation_suite(
-    tweets: Sequence[TweetRecord],
-    lexicons: dict,
+    table: TweetTable,
     treated: str,
-    anchor_date,
     levels: Sequence[int] = (1, 7, 10, 28),
     restriction: SampleRestriction = SampleRestriction(),
     outcome: str = "users",
     transform: str = "log1p",
     window_days: tuple[int, int] | None = None,
-    flags_by_calendar: Mapping[PeriodCalendar, Sequence[UserPeriodFlags]] | None = None,
 ) -> dict[int, AggregationLevelResult]:
-    """Rebuild the pipeline from bot-filtered tweets at each aggregation level.
+    """Rebuild the pipeline from the tweet table at each aggregation level.
 
-    `tweets` must already be bot-filtered. Sample restriction, panel
-    construction, fitting-window subsampling, and the V search (for
-    subsampled levels) are all recomputed per level; the user-period
-    flags are taken from `flags_by_calendar` for a level whose calendar is
-    there and built from `tweets` otherwise. `window_days` clips the
-    panel to (pre_days, post_days) around the anchor so every level
-    covers the same calendar span.
+    `table` holds the bot-filtered tweets, classified once. Each level's
+    calendar is anchored at the table's anchor date and only regroups
+    the table's day offsets, so a level costs no lexicon pass. Sample
+    restriction, panel construction, fitting-window subsampling, and the
+    V search (for subsampled levels) are all recomputed per level.
+    `window_days` clips the panel to (pre_days, post_days) around the
+    anchor so every level covers the same calendar span.
     """
     results = {}
     for level in levels:
-        cal = PeriodCalendar(anchor_date=anchor_date, period_length_days=level)
-        flags = (flags_by_calendar or {}).get(cal)
-        if flags is None:
-            flags = user_period_flags(tweets, cal, lexicons)
+        cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
         periods = None
         if window_days is not None:
             pre_days, post_days = window_days
             periods = (-math.ceil(pre_days / level), math.ceil(post_days / level) - 1)
-        panels = twitter_outcomes(flags, tweets, cal, lexicons, periods=periods)
+        panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
         restricted_users = restrict_sample(panels["users"], restriction)
         if treated not in restricted_users.countries:
             raise DataError(f"treated unit {treated!r} dropped by the sample restriction")

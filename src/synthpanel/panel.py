@@ -64,8 +64,26 @@ def assign_period(timestamp: dt.datetime | dt.date, cal: PeriodCalendar) -> int:
     """
     day = _as_utc_date(timestamp)
     if not _MIN_DATE <= day <= _MAX_DATE:
-        raise PanelRangeError(f"timestamp {day.isoformat()} outside supported range 1970-2100")
+        raise _out_of_range(day)
     return (day - cal.anchor_date).days // cal.period_length_days
+
+
+def day_offsets(timestamps: Iterable[dt.datetime | dt.date], anchor: dt.date) -> np.ndarray:
+    """UTC calendar-day offsets of timestamps from `anchor`, as int64.
+
+    Days are taken as in `assign_period`, so under any calendar anchored
+    at `anchor` a timestamp's period is its offset floor-divided by the
+    period length. Dates outside 1970-2100 raise PanelRangeError.
+    """
+    days = np.array([(_as_utc_date(t) - anchor).days for t in timestamps], dtype=np.int64)
+    outside = (days < (_MIN_DATE - anchor).days) | (days > (_MAX_DATE - anchor).days)
+    if outside.any():
+        raise _out_of_range(anchor + dt.timedelta(days=int(days[outside.argmax()])))
+    return days
+
+
+def _out_of_range(day: dt.date) -> PanelRangeError:
+    return PanelRangeError(f"timestamp {day.isoformat()} outside supported range 1970-2100")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,9 @@ from scipy.special import ndtr
 
 from dgp import TREATED, factor_panel
 from oracles import grid_search
-from synthpanel.classify import bot_filter, load_lexicons, read_tweets_csv, twitter_outcomes, user_period_flags
+from synthpanel.classify import (
+    bot_filter, load_lexicons, read_tweets_csv, tweet_table, twitter_outcomes, user_period_flags,
+)
 from synthpanel.cli import main as cli_main
 from synthpanel.demo import CorpusSpec, write_corpus
 from synthpanel.diffusion import (
@@ -142,7 +144,8 @@ def test_criterion_5_classifier_fixture():
     lexicons = load_lexicons()
     records = bot_filter(read_tweets_csv(DATA / "tweets_fixture.csv"), lexicons)
     cal = PeriodCalendar()
-    panels = twitter_outcomes(user_period_flags(records, cal, lexicons), records, cal, lexicons)
+    table = tweet_table(records, lexicons, cal.anchor_date)
+    panels = twitter_outcomes(user_period_flags(table, cal), table)
     mismatches = []
     for outcome, cells in FIXTURE_EXPECTED.items():
         for (country, period), expected in cells.items():
@@ -168,12 +171,9 @@ def test_criterion_6_aggregation_sum_consistency(tmp_path):
     records = bot_filter(read_tweets_csv(tmp_path / "tweets.csv"), lexicons)
     cal1 = PeriodCalendar(period_length_days=1)
     cal10 = PeriodCalendar(period_length_days=10)
-    daily = twitter_outcomes(
-        user_period_flags(records, cal1, lexicons), records, cal1, lexicons, periods=(-60, 19)
-    )
-    ten = twitter_outcomes(
-        user_period_flags(records, cal10, lexicons), records, cal10, lexicons, periods=(-6, 1)
-    )
+    table = tweet_table(records, lexicons, cal1.anchor_date)
+    daily = twitter_outcomes(user_period_flags(table, cal1), table, periods=(-60, 19))
+    ten = twitter_outcomes(user_period_flags(table, cal10), table, periods=(-6, 1))
     events = read_events_csv(tmp_path / "events.csv")
     daily_events = event_panel(events, cal1, periods=(-60, 19))
     ten_events = event_panel(events, cal10, periods=(-6, 1))

@@ -1,11 +1,19 @@
 import datetime as dt
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from synthpanel.classify import (
+    APPLE_SOURCE,
+    COLLECTIVE,
+    OUTCOME_NAMES,
+    POLITICAL,
+    STUDENT,
+    TAX,
     PhraseLexicon,
     TweetRecord,
     ascii_lower,
@@ -13,11 +21,13 @@ from synthpanel.classify import (
     load_lexicons,
     match_phrases,
     read_tweets_csv,
+    tweet_table,
     twitter_outcomes,
     user_period_flags,
 )
-from synthpanel.errors import ConfigurationError, SchemaError
-from synthpanel.panel import PeriodCalendar
+from synthpanel.demo import CorpusSpec, write_corpus
+from synthpanel.errors import ConfigurationError, PanelRangeError, SchemaError
+from synthpanel.panel import PeriodCalendar, assign_period
 
 UTC = dt.timezone.utc
 CAL10 = PeriodCalendar()
@@ -52,6 +62,15 @@ def make_tweet(
         user_lang="en",
         tweet_lang="en",
     )
+
+
+def flags_of(records, cal=CAL10):
+    return user_period_flags(tweet_table(records, LEX, cal.anchor_date), cal)
+
+
+def panels_of(records, cal=CAL10, periods=None):
+    table = tweet_table(records, LEX, cal.anchor_date)
+    return twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
 
 
 class TestLexicons:
@@ -152,8 +171,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=100,
         )
-        (flags,) = user_period_flags([tweet], CAL10, LEX)
-        assert flags.infrequent
+        assert flags_of([tweet]).infrequent.tolist() == [True]
 
     def test_same_day_zero_statuses_is_infrequent(self):
         created = dt.datetime(2018, 7, 2, 0, 0, tzinfo=UTC)
@@ -162,8 +180,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=0,
         )
-        (flags,) = user_period_flags([tweet], CAL10, LEX)
-        assert flags.infrequent  # 0 / max(1, 0) < 1
+        assert flags_of([tweet]).infrequent.tolist() == [True]  # 0 / max(1, 0) < 1
 
     def test_same_day_several_statuses_not_infrequent(self):
         created = dt.datetime(2018, 7, 2, 0, 0, tzinfo=UTC)
@@ -172,8 +189,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=3,
         )
-        (flags,) = user_period_flags([tweet], CAL10, LEX)
-        assert not flags.infrequent
+        assert flags_of([tweet]).infrequent.tolist() == [False]
 
     def test_infrequent_fixed_at_first_appearance(self):
         created = dt.datetime(2018, 1, 1, tzinfo=UTC)
@@ -189,8 +205,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=100000,  # would be frequent if re-evaluated
         )
-        flags = user_period_flags([later, first], CAL10, LEX)
-        assert all(f.infrequent for f in flags)
+        assert flags_of([later, first]).infrequent.tolist() == [True, True]
 
     def test_apple_source_flags_per_period(self):
         apple = make_tweet(
@@ -203,9 +218,9 @@ class TestUserPeriodFlags:
             timestamp=dt.datetime(2018, 7, 2, tzinfo=UTC),
             source="Twitter Web Client",
         )
-        flags = {f.period: f for f in user_period_flags([apple, web], CAL10, LEX)}
-        assert not flags[-1].not_apple
-        assert flags[0].not_apple
+        flags = flags_of([apple, web])
+        assert flags.period.tolist() == [-1, 0]
+        assert flags.not_apple.tolist() == [False, True]
 
     def test_new_account_in_creation_period_only(self):
         created = dt.datetime(2018, 6, 28, tzinfo=UTC)
@@ -221,14 +236,69 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=5,
         )
-        flags = {f.period: f for f in user_period_flags([early, late], CAL10, LEX)}
-        assert flags[-1].new_account
-        assert not flags[0].new_account
+        flags = flags_of([early, late])
+        assert flags.period.tolist() == [-1, 0]
+        assert flags.new_account.tolist() == [True, False]
 
     def test_student_from_location(self):
         tweet = make_tweet(user_location="University of Nairobi")
-        (flags,) = user_period_flags([tweet], CAL10, LEX)
-        assert flags.student
+        assert flags_of([tweet]).student.tolist() == [True]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_first_seen_tie_broken_by_tweet_id_string(self, order):
+        created = dt.datetime(2018, 1, 1, tzinfo=UTC)
+        same = dt.datetime(2018, 6, 1, tzinfo=UTC)
+        tweets = [
+            # "10" sorts before "9" as a string, so it is the first tweet
+            make_tweet(tweet_id="9", timestamp=same, user_created_at=created,
+                       statuses_count=100000),
+            make_tweet(tweet_id="10", timestamp=same, user_created_at=created,
+                       statuses_count=10),
+        ]
+        flags = flags_of([tweets[i] for i in order])
+        assert flags.infrequent.tolist() == [True]
+
+    def test_calendar_must_share_the_table_anchor(self):
+        table = tweet_table([make_tweet()], LEX, CAL10.anchor_date)
+        with pytest.raises(ConfigurationError):
+            user_period_flags(table, PeriodCalendar(anchor_date=dt.date(2018, 7, 2)))
+
+
+class TestTweetTable:
+    def test_day_offsets_and_codes(self):
+        records = [
+            make_tweet(tweet_id="a", user_id="u2", country_code="UG",
+                       timestamp=dt.datetime(2018, 6, 30, 23, 59, tzinfo=UTC)),
+            make_tweet(tweet_id="b", user_id="u1", country_code="KE",
+                       timestamp=dt.datetime(2018, 7, 11, tzinfo=UTC)),
+        ]
+        table = tweet_table(records, LEX, CAL10.anchor_date)
+        assert table.countries == ("KE", "UG")
+        assert table.country.tolist() == [1, 0]
+        assert table.user.tolist() == [1, 0]
+        assert table.day.tolist() == [-1, 10]
+        assert table.created_day.tolist() == [-546, -546]
+
+    def test_each_text_is_classified(self):
+        every = make_tweet(
+            tweet_id="a", text="Protest the TAX, says our MP ", source="Twitter for iPhone",
+            user_description="student", user_location="",
+        )
+        # "tax" counts only inside a collective text
+        plain = make_tweet(tweet_id="b", text="the tax went up", user_location="university")
+        table = tweet_table([every, plain], LEX, CAL10.anchor_date)
+        assert table.bits.tolist() == [
+            APPLE_SOURCE | STUDENT | COLLECTIVE | POLITICAL | TAX, STUDENT,
+        ]
+
+    @pytest.mark.parametrize("field, value", [
+        ("timestamp", dt.datetime(2101, 1, 1, tzinfo=UTC)),
+        ("user_created_at", dt.datetime(1969, 12, 31, tzinfo=UTC)),
+    ])
+    def test_dates_outside_supported_range(self, field, value):
+        tweet = make_tweet(**{field: value})
+        with pytest.raises(PanelRangeError, match="outside supported range"):
+            tweet_table([tweet], LEX, CAL10.anchor_date)
 
 
 class TestTwitterOutcomes:
@@ -238,8 +308,7 @@ class TestTwitterOutcomes:
             make_tweet(tweet_id="b", user_id="u1", text="nothing much"),
             make_tweet(tweet_id="c", user_id="u2", text="hello"),
         ]
-        flags = user_period_flags(records, CAL10, LEX)
-        panels = twitter_outcomes(flags, records, CAL10, LEX)
+        panels = panels_of(records)
         assert panels["users"].value("UG", 0) == 2
         assert panels["tweets"].value("UG", 0) == 3
         assert panels["collective_tweets"].value("UG", 0) == 1
@@ -250,14 +319,12 @@ class TestTwitterOutcomes:
             make_tweet(tweet_id="a", user_id="u1", text="ThisTaxMustGo protest"),
             make_tweet(tweet_id="b", user_id="u2", text="rally today"),
         ]
-        flags = user_period_flags(records, CAL10, LEX)
-        panels = twitter_outcomes(flags, records, CAL10, LEX)
+        panels = panels_of(records)
         assert panels["tax_mention_share"].value("UG", 0) == pytest.approx(0.5)
 
     def test_zero_denominator_flagged(self):
         records = [make_tweet(text="no phrases here")]
-        flags = user_period_flags(records, CAL10, LEX)
-        panels = twitter_outcomes(flags, records, CAL10, LEX, periods=(-1, 0))
+        panels = panels_of(records, periods=(-1, 0))
         share = panels["tax_mention_share"]
         assert share.value("UG", 0) == 0.0
         assert share.flagged is not None
@@ -269,8 +336,7 @@ class TestTwitterOutcomes:
             make_tweet(tweet_id=f"t{i}", user_id=f"u{i % 3}", text=text)
             for i, text in enumerate(["protest", "rally", "vote", "hi", "boycott them"])
         ]
-        flags = user_period_flags(records, CAL10, LEX)
-        panels = twitter_outcomes(flags, records, CAL10, LEX)
+        panels = panels_of(records)
         for name in ("prop_collective_users", "prop_collective_tweets", "tax_mention_share"):
             values = panels[name].values
             assert (values >= 0).all() and (values <= 1).all()
@@ -280,6 +346,99 @@ class TestTwitterOutcomes:
         assert (
             panels["collective_tweets"].values <= panels["tweets"].values
         ).all()
+
+
+    def test_inverted_period_range_refused(self):
+        with pytest.raises(PanelRangeError):
+            panels_of([make_tweet()], periods=(1, 0))
+
+
+def reference_panels(records, cal):
+    """Every outcome cell counted record by record, without the tweet table."""
+    first = {}
+    for r in records:
+        seen = first.get(r.user_id)
+        if seen is None or (r.timestamp, r.tweet_id) < (seen.timestamp, seen.tweet_id):
+            first[r.user_id] = r
+    groups = {}
+    counts = {name: Counter() for name in OUTCOME_NAMES}
+    tax = Counter()
+    for r in records:
+        cell = (r.country_code, assign_period(r.timestamp, cal))
+        groups.setdefault((r.user_id, cell), []).append(r)
+        collective = match_phrases(r.text, LEX["collective"])
+        counts["tweets"][cell] += 1
+        counts["collective_tweets"][cell] += collective
+        counts["political_tweets"][cell] += match_phrases(r.text, LEX["political"])
+        tax[cell] += collective and "tax" in ascii_lower(r.text)
+    for (user, cell), tweets in groups.items():
+        f = first[user]
+        counts["users"][cell] += 1
+        counts["new_accounts"][cell] += (
+            min(assign_period(t.user_created_at, cal) for t in tweets) == cell[1]
+        )
+        counts["infrequent_users"][cell] += (
+            f.statuses_count / max(1, (f.timestamp - f.user_created_at).days) < 1
+        )
+        counts["not_apple_users"][cell] += not any(
+            match_phrases(t.source, LEX["apple_source"]) for t in tweets
+        )
+        counts["student_users"][cell] += any(
+            match_phrases(t.user_description, LEX["student"])
+            or match_phrases(t.user_location, LEX["student"])
+            for t in tweets
+        )
+        counts["activist_users"][cell] += any(
+            match_phrases(t.text, LEX["collective"]) for t in tweets
+        )
+        counts["political_users"][cell] += any(
+            match_phrases(t.text, LEX["political"]) for t in tweets
+        )
+    for name, numer, denom in (
+        ("prop_collective_users", counts["activist_users"], counts["users"]),
+        ("prop_collective_tweets", counts["collective_tweets"], counts["tweets"]),
+        ("tax_mention_share", tax, counts["collective_tweets"]),
+    ):
+        counts[name] = {cell: numer[cell] / denom[cell] for cell in denom if denom[cell]}
+    return counts
+
+
+PARITY_SPEC = CorpusSpec(
+    countries=("UG", "KE", "GH", "RW"), pre_days=60, post_days=30, base_users=4.0, seed=5,
+)
+
+
+@pytest.fixture(scope="module")
+def parity_records(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parity")
+    write_corpus(path, PARITY_SPEC)
+    return bot_filter(read_tweets_csv(path / "tweets.csv"), LEX)
+
+
+@pytest.mark.parametrize("level", [1, 7, 10, 28])
+@pytest.mark.parametrize("window", ["data", "clipped"])
+def test_panels_match_per_record_counts(parity_records, level, window):
+    cal = PeriodCalendar(anchor_date=PARITY_SPEC.anchor, period_length_days=level)
+    table = tweet_table(parity_records, LEX, cal.anchor_date)
+    periods = None if window == "data" else (-30 // level, 15 // level)
+    panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
+    if periods is None:
+        ts = [assign_period(r.timestamp, cal) for r in parity_records]
+        periods = (min(ts), max(ts))
+    expected = reference_panels(parity_records, cal)
+    countries = tuple(sorted({r.country_code for r in parity_records}))
+    lo, hi = periods
+    for name in OUTCOME_NAMES:
+        panel = panels[name]
+        assert panel.countries == countries and panel.periods == tuple(range(lo, hi + 1)), name
+        want = np.array([[expected[name].get((c, t), 0) for t in panel.periods] for c in countries])
+        assert np.array_equal(panel.values, want), name
+    for name, denom in (("prop_collective_users", "users"),
+                        ("prop_collective_tweets", "tweets"),
+                        ("tax_mention_share", "collective_tweets")):
+        assert np.array_equal(panels[name].flagged, panels[denom].values == 0), name
+    # the corpus exercises every flag
+    assert all(panels[name].values.any() for name in OUTCOME_NAMES)
 
 
 # Expected outcome table for the committed 20-tweet fixture, computed by
@@ -308,9 +467,7 @@ FIXTURE_EXPECTED = {
 
 
 def fixture_panels():
-    records = bot_filter(read_tweets_csv(DATA / "tweets_fixture.csv"), LEX)
-    flags = user_period_flags(records, CAL10, LEX)
-    return twitter_outcomes(flags, records, CAL10, LEX)
+    return panels_of(bot_filter(read_tweets_csv(DATA / "tweets_fixture.csv"), LEX))
 
 
 def test_fixture_golden_table():
@@ -323,11 +480,15 @@ def test_fixture_golden_table():
 
 def test_classification_is_order_independent():
     records = bot_filter(read_tweets_csv(DATA / "tweets_fixture.csv"), LEX)
-    flags_forward = user_period_flags(records, CAL10, LEX)
-    flags_reversed = user_period_flags(list(reversed(records)), CAL10, LEX)
-    assert flags_forward == flags_reversed
-    panels_a = twitter_outcomes(flags_forward, records, CAL10, LEX)
-    panels_b = twitter_outcomes(flags_reversed, list(reversed(records)), CAL10, LEX)
+    forward = tweet_table(records, LEX, CAL10.anchor_date)
+    backward = tweet_table(list(reversed(records)), LEX, CAL10.anchor_date)
+    flags_forward = user_period_flags(forward, CAL10)
+    flags_reversed = user_period_flags(backward, CAL10)
+    for column in ("user", "country", "period", "new_account", "infrequent",
+                   "not_apple", "student", "activist", "political"):
+        assert np.array_equal(getattr(flags_forward, column), getattr(flags_reversed, column)), column
+    panels_a = twitter_outcomes(flags_forward, forward)
+    panels_b = twitter_outcomes(flags_reversed, backward)
     for name in panels_a:
         assert (panels_a[name].values == panels_b[name].values).all(), name
 

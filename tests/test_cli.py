@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthpanel import cli, inference, synth
+from synthpanel import classify, cli, inference, synth
 from synthpanel.cli import main
 from synthpanel.demo import CorpusSpec, write_corpus
 
@@ -219,6 +219,47 @@ class TestExitCodes:
         assert err.startswith("data error: levels must be comma-separated day counts")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_levels_without_a_number_is_configuration_error(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        (tmp_path / "run.toml").write_text('levels = ","\n')
+        given = ["--levels", ","] if where == "flag" else ["--config", "run.toml"]
+        code = run_in(tmp_path, monkeypatch, [
+            "aggregate", "--tweets", str(DATA / "tweets_fixture.csv"), *given, "--out", "out",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: levels names no aggregation level")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["build-panel", "--tweets", str(DATA / "tweets_fixture.csv")],
+        ["estimate", "--tweets", str(DATA / "tweets_fixture.csv")],
+        ["build-panel", "--events", str(DATA / "events_fixture.csv")],
+    ], ids=["tweets", "estimate", "events"])
+    def test_inverted_window_is_range_error(self, tmp_path, monkeypatch, capsys, argv):
+        code = run_in(tmp_path, monkeypatch, [*argv, "--t-min", "5", "--out", "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: empty window: t_min 5 is after t_max 0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("column, value", [
+        ("timestamp", "2101-01-01T00:00:00Z"), ("user_created_at", "1969-12-31T00:00:00Z"),
+    ])
+    def test_date_outside_supported_range(self, tmp_path, monkeypatch, capsys, column, value):
+        lines = (DATA / "tweets_fixture.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        (tmp_path / "tweets.csv").write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        code = run_in(tmp_path, monkeypatch, ["build-panel", "--tweets", "tweets.csv", "--out", "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "outside supported range" in err
+        assert err.count("\n") == 1
+
     def test_missing_input_path(self, tmp_path, monkeypatch):
         code = run_in(
             tmp_path, monkeypatch,
@@ -417,23 +458,27 @@ def all_figures_run(tmp_path_factory):
     """One all-figures run on the long corpus, with its ingest calls counted."""
     root = tmp_path_factory.mktemp("shared_ingest")
     write_corpus(root / "data", LONG_SPEC)
-    period_days = lambda records, cal, lexicons: cal.period_length_days  # noqa: E731
+    period_days = lambda table, cal: cal.period_length_days  # noqa: E731
     counters = {
         "tweets": CallCounter(cli.read_tweets_csv),
         "events": CallCounter(cli.read_events_csv),
+        "bot_filter": CallCounter(cli.bot_filter, lambda records, lexicons: len(records)),
+        "table": CallCounter(cli.tweet_table, lambda records, lexicons, anchor: len(records)),
+        "lowercased": CallCounter(classify.ascii_lower, len),
         "cli_flags": CallCounter(cli.user_period_flags, period_days),
         "suite_flags": CallCounter(inference.user_period_flags, period_days),
-        "bot_filter": CallCounter(cli.bot_filter, lambda records, lexicons: len(records)),
     }
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "read_tweets_csv", counters["tweets"])
-        mp.setattr(cli, "read_events_csv", counters["events"])
-        mp.setattr(cli, "user_period_flags", counters["cli_flags"])
-        mp.setattr(inference, "user_period_flags", counters["suite_flags"])
-        mp.setattr(cli, "bot_filter", counters["bot_filter"])
+        for module, name, counter in (
+            (cli, "read_tweets_csv", "tweets"), (cli, "read_events_csv", "events"),
+            (cli, "bot_filter", "bot_filter"), (cli, "tweet_table", "table"),
+            (classify, "ascii_lower", "lowercased"),
+            (cli, "user_period_flags", "cli_flags"), (inference, "user_period_flags", "suite_flags"),
+        ):
+            mp.setattr(module, name, counters[counter])
         code = main(["all-figures", "--tweets", str(root / "data" / "tweets.csv"),
                      "--events", str(root / "data" / "events.csv"), *OUTCOMES,
-                     "--levels", "10,28", "--q-steps", "2", "--grid-n", "201",
+                     "--levels", "1,7,10,28", "--q-steps", "2", "--grid-n", "201",
                      "--out", str(root / "all")])
     assert code == 0
     return root, {name: c.seen for name, c in counters.items()}
@@ -444,9 +489,13 @@ class TestSharedIngest:
         root, seen = all_figures_run
         assert seen["tweets"] == [str(root / "data" / "tweets.csv")]
         assert seen["events"] == [str(root / "data" / "events.csv")]
-        assert seen["cli_flags"] == [10]  # one calendar for every outcome and window
-        assert seen["suite_flags"] == [28]  # the 10-day level reuses the run's flags
         assert len(seen["bot_filter"]) == 1
+        # one table build and one lexicon pass, whatever the number of calendars:
+        # every text is lowercased once, by the bot filter or the table build
+        (kept,) = seen["table"]
+        assert len(seen["lowercased"]) <= seen["bot_filter"][0] + 4 * kept
+        assert seen["cli_flags"] == [10]  # one calendar for every outcome and window
+        assert seen["suite_flags"] == [1, 7, 10, 28]  # a level only regroups the table
 
     def test_each_run_reads_its_inputs_afresh(self, tmp_path, monkeypatch):
         shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from dgp import TREATED, factor_panel
 from oracles import quantile_sorted
-from synthpanel import inference
-from synthpanel.classify import bot_filter, load_lexicons, read_tweets_csv, user_period_flags
+from synthpanel import classify
+from synthpanel.classify import (
+    bot_filter, load_lexicons, read_tweets_csv, tweet_table, twitter_outcomes, user_period_flags,
+)
 from synthpanel.demo import CorpusSpec, write_corpus
 from synthpanel.errors import InferenceError, PanelRangeError
 from synthpanel.inference import (
@@ -229,7 +231,7 @@ class TestAggregationHelpers:
         lexicons = load_lexicons()
         records = bot_filter(read_tweets_csv(tmp_path / "tweets.csv"), lexicons)
         results = aggregation_suite(
-            records, lexicons, "UG", spec.anchor,
+            tweet_table(records, lexicons, spec.anchor), "UG",
             levels=(1, 7, 10, 28), window_days=(60, 20),
         )
         for level, res in results.items():
@@ -240,7 +242,7 @@ class TestAggregationHelpers:
             np.full(len(results[10].fit.v_diag), 1 / len(results[10].fit.v_diag))
         )
 
-    def test_given_flags_are_reused(self, tmp_path, monkeypatch):
+    def test_levels_regroup_the_table_without_matching(self, tmp_path, monkeypatch):
         spec = CorpusSpec(
             countries=("UG", "KE", "GH", "RW", "TZ", "ZM", "ZW"),
             pre_days=60, post_days=20, base_users=6.0, seed=17,
@@ -248,21 +250,17 @@ class TestAggregationHelpers:
         write_corpus(tmp_path, spec)
         lexicons = load_lexicons()
         records = bot_filter(read_tweets_csv(tmp_path / "tweets.csv"), lexicons)
-        cal = PeriodCalendar(anchor_date=spec.anchor, period_length_days=10)
-        ten_day = user_period_flags(records, cal, lexicons)
-        built = []
+        table = tweet_table(records, lexicons, spec.anchor)
 
-        def counting(records, cal, lexicons):
-            built.append(cal.period_length_days)
-            return user_period_flags(records, cal, lexicons)
+        def no_matching(*args):
+            raise AssertionError("a calendar ran a lexicon pass")
 
-        monkeypatch.setattr(inference, "user_period_flags", counting)
-        args = (records, lexicons, "UG", spec.anchor)
-        kwargs = dict(levels=(10, 28), window_days=(60, 20))
-        fresh = aggregation_suite(*args, **kwargs)
-        assert built == [10, 28]
-        reused = aggregation_suite(*args, **kwargs, flags_by_calendar={cal: ten_day})
-        assert built == [10, 28, 28]
-        for level in (10, 28):
-            assert np.array_equal(reused[level].fit.effects, fresh[level].fit.effects)
-            assert np.array_equal(reused[level].bands, fresh[level].bands)
+        monkeypatch.setattr(classify, "ascii_lower", no_matching)
+        monkeypatch.setattr(classify, "match_phrases", no_matching)
+        results = aggregation_suite(table, "UG", levels=(10, 28), window_days=(60, 20))
+        for level, periods in ((10, (-6, 1)), (28, (-3, 0))):
+            cal = PeriodCalendar(anchor_date=spec.anchor, period_length_days=level)
+            users = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)["users"]
+            panel = results[level].panel
+            assert panel.periods == users.periods
+            assert np.array_equal(panel.values, users.select_countries(panel.countries).log1p().values)
