@@ -41,6 +41,7 @@ from .errors import (
 from .events import event_panel, read_events_csv
 from .inference import (
     EstimatorConfig,
+    PlaceboDistribution,
     aggregation_suite,
     averaged_post_effect,
     estimate_with_placebos,
@@ -49,6 +50,7 @@ from .inference import (
 )
 from .panel import PanelSeries, PeriodCalendar, SampleRestriction, normalize_at_reference, restrict_sample
 from .svgplot import LineChart
+from .synth import SynthFit
 
 ALL_OUTCOMES = OUTCOME_NAMES + ("events",)
 
@@ -161,13 +163,15 @@ class RunInputs:
     An instance lives as long as one `main()` call, so each run reads its
     files afresh. The tweet CSV is parsed, bot-filtered and classified
     into one tweet table; its flags are built once for the run's calendar
-    and its outcome panels once per window. Callers must not mutate what
-    they get back.
+    and its outcome panels once per window. The treated fit and placebo
+    distribution of an outcome are computed once per window, for both
+    `estimate` and `placebo`. Callers must not mutate what they get back.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self._twitter_panels: dict[tuple[int, int], dict[str, PanelSeries]] = {}
+        self._estimates: dict[tuple[str, tuple[int, ...]], tuple] = {}
 
     @cached_property
     def calendar(self) -> PeriodCalendar:
@@ -207,6 +211,15 @@ class RunInputs:
     def event_panel(self, pre_factor: int = 1) -> PanelSeries:
         records, span = self.events
         return event_panel(records, self.calendar, periods=_window(self.args, span, pre_factor))
+
+    def estimate(self, outcome: str) -> tuple[PanelSeries, SynthFit, PlaceboDistribution]:
+        """The outcome's estimation panel, treated fit and placebo distribution."""
+        panel = _outcome_panel(self.args, self, outcome)
+        key = (outcome, panel.periods)
+        if key not in self._estimates:
+            fit, dist = estimate_with_placebos(panel, self.args.treated, _estimator_config(panel))
+            self._estimates[key] = (panel, fit, dist)
+        return self._estimates[key]
 
 
 def _transform(args, outcome: str) -> str:
@@ -282,9 +295,7 @@ def cmd_estimate(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "estimate"
     prov = _provenance(args)
     for outcome in args.outcomes:
-        panel = _outcome_panel(args, inputs, outcome)
-        cfg = _estimator_config(panel)
-        fit, dist = estimate_with_placebos(panel, args.treated, cfg)
+        panel, fit, dist = inputs.estimate(outcome)
         bands = pointwise_band(dist)
         averaged = averaged_post_effect(fit, dist)
 
@@ -343,9 +354,7 @@ def cmd_placebo(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "placebo"
     prov = _provenance(args)
     for outcome in args.outcomes:
-        panel = _outcome_panel(args, inputs, outcome)
-        cfg = _estimator_config(panel)
-        fit, dist = estimate_with_placebos(panel, args.treated, cfg)
+        _, _, dist = inputs.estimate(outcome)
         rows = []
         for di, donor in enumerate(dist.donors):
             for pi, t in enumerate(dist.periods):

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, DataError, EmptyPlatformError
 
@@ -25,6 +24,17 @@ FIXED_POINT_TOL = 1e-8
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = math.sqrt(_TWO_PI)
+
+
+def ndtr(x):
+    """Standard normal CDF: `scipy.special.ndtr`, imported on first use.
+
+    Importing scipy.special is most of the command line's start-up time,
+    and only the diffusion functions need it.
+    """
+    from scipy.special import ndtr as scipy_ndtr
+
+    return scipy_ndtr(x)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,17 @@ from .errors import DataError, InferenceError
 from .panel import PanelSeries
 
 _SIMPLEX_TOL = 1e-9
+# the active-set method's acceptance tolerances: support weights of an
+# equality solve down to -_FEASIBLE_TOL count as feasible, and gradients
+# within _KKT_TOL * (1 + max |gradient|) as equal
+_FEASIBLE_TOL = 1e-12
+_KKT_TOL = 1e-11
+# a warm start's answer is certified only when it clears both tolerances
+# by this factor and its reduced Hessian's smallest eigenvalue exceeds
+# _MIN_CURVATURE * max(1, largest)
+_CERTIFICATE_MARGIN = 1e3
+_MIN_CURVATURE = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,49 +112,126 @@ def _equality_solve(A: np.ndarray, b: np.ndarray, idx: np.ndarray, n: int) -> np
     return target
 
 
-def _solve_simplex_qp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimize w'Aw - 2b'w over the simplex by a primal active-set method.
+def _active_set(
+    A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Primal active-set method for w'Aw - 2b'w on the simplex.
 
-    Starts at uniform weights with every donor in the working support,
-    then alternates equality solves on the support with ratio-test drops
-    and most-negative-gradient additions until the support KKT conditions
-    hold. Raises InferenceError when no such point is found within the
-    cycle cap or a KKT solve is not finite.
+    Starts at the feasible `w`, zero off the working `support`, then
+    alternates equality solves on the support with ratio-test drops and
+    most-negative-gradient additions until the support KKT conditions
+    hold. Returns (weights, final support, equality solve on it), or None
+    when no such point is found within the cycle cap or a KKT solve is
+    not finite. The weights are clip(target)/sum of that equality solve,
+    so their bits depend only on (A, b, final support).
     """
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise DataError("non-finite outcome values in fitting window")
     n = b.size
-    w = np.full(n, 1.0 / n)
-    support = np.ones(n, dtype=bool)
     for _ in range(8 * n + 16):
         idx = np.flatnonzero(support)
-        target = _equality_solve(A, b, idx, n)
+        target = _equality_solve(A, b, idx, n) if idx.size else None
         if target is None:
-            break
-        if target[idx].min() >= -1e-12:
+            return None
+        if target[idx].min() >= -_FEASIBLE_TOL:
             w = np.clip(target, 0.0, None)
             w = w / w.sum()
             gradient = 2.0 * (A @ w - b)
             off = np.flatnonzero(~support)
             if off.size == 0:
-                return w
-            tol = 1e-11 * (1.0 + float(np.abs(gradient).max()))
+                return w, support, target
+            tol = _KKT_TOL * (1.0 + float(np.abs(gradient).max()))
             j = off[np.argmin(gradient[off])]
             if gradient[j] >= gradient[idx].min() - tol:
-                return w
+                return w, support, target
             support[j] = True
         else:
             direction = target - w  # sums to zero, so the move stays on the plane
             movers = idx[direction[idx] < -1e-18]
             if movers.size == 0:
-                break
+                return None
             steps = -w[movers] / direction[movers]
             k_drop = int(np.argmin(steps))
             w = np.clip(w + max(0.0, float(steps[k_drop])) * direction, 0.0, None)
             w[movers[k_drop]] = 0.0
             support[movers[k_drop]] = False
             w = w / w.sum()
-    raise InferenceError(f"simplex weight solver found no optimum for {n} donors")
+    return None
+
+
+@lru_cache(maxsize=None)
+def _sum_zero_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (k x k-1) of the plane {d: sum d = 0}.
+
+    A Householder reflection maps e_k to the normalized ones vector; its
+    other columns are orthonormal and orthogonal to that vector.
+    """
+    u = np.full(k, -1.0 / math.sqrt(k))
+    u[-1] += 1.0
+    Z = (np.eye(k) - np.outer(u, 2.0 / (u @ u) * u))[:, :-1]
+    Z.setflags(write=False)
+    return Z
+
+
+def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray, target: np.ndarray) -> bool:
+    """Whether every start of the active-set method ends on `support`.
+
+    Holds when the minimizer is unique, the equality solve found it, and
+    it clears the solver's tolerances by a wide margin:
+    - every support weight of the equality solve is positive, and they
+      sum to one;
+    - the support gradients agree, so `w` is stationary on the support;
+    - every off-support gradient lies strictly above every support
+      gradient, so every minimizer is zero off the support;
+    - the reduced Hessian on the support is positive definite over the
+      sum-zero plane, so the minimizer on the support is unique.
+    The gradient tolerance is the solver's plus a bound on the rounding
+    error of 2(Aw - b): at a perfect fit the gradient is rounding noise,
+    and a gap of that size certifies nothing.
+    """
+    idx = np.flatnonzero(support)
+    held = target[idx]
+    margin = _CERTIFICATE_MARGIN * _FEASIBLE_TOL
+    if not (held.min() > margin and abs(held.sum() - 1.0) <= margin):
+        return False
+    gradient = 2.0 * (A @ w - b)
+    rounding = 2.0 * b.size * _EPS * float((np.abs(A) @ w + np.abs(b)).max())
+    tol = _KKT_TOL * (1.0 + float(np.abs(gradient).max())) + rounding
+    top = gradient[idx].max()
+    if not top - gradient[idx].min() <= tol:
+        return False
+    if idx.size < b.size and not gradient[~support].min() - top > _CERTIFICATE_MARGIN * tol:
+        return False
+    if idx.size == 1:
+        return True
+    Z = _sum_zero_basis(idx.size)
+    eigenvalues = np.linalg.eigvalsh(Z.T @ A[idx][:, idx] @ Z)
+    return bool(eigenvalues[0] > _MIN_CURVATURE * max(1.0, eigenvalues[-1]))
+
+
+def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """Minimize w'Aw - 2b'w over the simplex by a primal active-set method.
+
+    The cold solve starts at uniform weights with every donor in the
+    working support, and raises InferenceError when it finds no optimum.
+    Given simplex weights `start`, the method first runs warm from them,
+    with working support start > 0. That answer is kept only when its
+    final support is certified (`_certified`): the cold solve then ends
+    on the same support, and so returns the same bits. Otherwise (cycle
+    cap, a non-finite solve, or no certificate) the cold solve runs.
+    """
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise DataError("non-finite outcome values in fitting window")
+    n = b.size
+    if start is not None:
+        try:
+            warm = _active_set(A, b, start.copy(), start > 0)
+            if warm is not None and _certified(A, b, *warm):
+                return warm[0]
+        except np.linalg.LinAlgError:
+            pass
+    cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
+    if cold is None:
+        raise InferenceError(f"simplex weight solver found no optimum for {n} donors")
+    return cold[0]
 
 
 def _design(problem: SynthProblem, v_diag: np.ndarray | None):
@@ -162,10 +251,12 @@ def _design(problem: SynthProblem, v_diag: np.ndarray | None):
     return x0, X1, v
 
 
-def _weights(x0: np.ndarray, X1: np.ndarray, v: np.ndarray) -> WeightVector:
+def _weights(
+    x0: np.ndarray, X1: np.ndarray, v: np.ndarray, start: np.ndarray | None = None
+) -> WeightVector:
     A = X1.T @ (v[:, None] * X1)
     b = X1.T @ (v * x0)
-    return WeightVector(w=_solve_simplex_qp(A, b))
+    return WeightVector(w=_solve_simplex_qp(A, b, start))
 
 
 def fit_weights(problem: SynthProblem, v_diag: np.ndarray | None = None) -> WeightVector:
@@ -209,28 +300,31 @@ def optimize_v(
     the weights and evaluating MSPE on the full pre window. The design
     matrices and panel rows are built once per search, and a candidate
     that comes back (clamped coordinates recur after each step halving)
-    is not solved again. Every candidate is solved from uniform weights,
-    so its weights do not depend on the path that reached it. The returned
-    diagonal is never worse than uniform.
+    is not solved again. Each candidate's QP starts warm from the
+    incumbent's weights and keeps that answer only under a certificate
+    that the solve from uniform weights returns the same bits, so a
+    candidate's weights do not depend on the path that reached it. The
+    returned diagonal is never worse than uniform.
     """
     x0, X1, v = _design(problem, None)
     treated, donors = _panel_rows(problem)
     idx = [problem.Y.period_index(t) for t in problem.all_pre_periods]
     scored: dict[bytes, tuple[WeightVector, float]] = {}
 
-    def fit_and_score(candidate: np.ndarray) -> tuple[WeightVector, float]:
+    def fit_and_score(candidate: np.ndarray, start: np.ndarray | None) -> tuple[WeightVector, float]:
         key = candidate.tobytes()
         if key not in scored:
-            # a cold solve, not one warm-started from the incumbent's
-            # support: when A is rank-deficient (V concentrated on few
-            # periods) the two starts reach different minimizers with equal
-            # objectives, and the search would then take another path
-            w = _weights(x0, X1, candidate)
+            # warm from the incumbent, kept only when certified to equal
+            # the cold solve: when A is rank-deficient (V concentrated on
+            # few periods) an uncertified warm start can reach another
+            # minimizer with an equal objective, and the search would then
+            # take another path
+            w = _weights(x0, X1, candidate, start)
             effects = treated - w.w @ donors
             scored[key] = (w, float(np.mean(effects[idx] ** 2)))
         return scored[key]
 
-    w, best = fit_and_score(v)
+    w, best = fit_and_score(v, None)
     if set(problem.pre_periods) == set(problem.all_pre_periods):
         # degenerate case: the search objective equals the fit objective,
         # so the uniform diagonal is already optimal
@@ -248,7 +342,7 @@ def optimize_v(
                 candidate /= total
                 if np.abs(candidate - v).max() <= 1e-15:
                     continue
-                w_candidate, score = fit_and_score(candidate)
+                w_candidate, score = fit_and_score(candidate, w.w)
                 if score < best - 1e-15:
                     v, w, best = candidate, w_candidate, score
                     improved = True

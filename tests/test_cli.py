@@ -1,6 +1,9 @@
 import csv
 import datetime as dt
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +206,20 @@ class TestExitCodes:
             tmp_path, monkeypatch,
             ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
              "--outcome", "users", "--out", "out"],
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inference error: simplex weight solver")
+        assert err.count("\n") == 1
+
+    def test_solver_failure_in_v_search_is_inference_error(
+        self, corpus_dir, tmp_path, monkeypatch, capsys
+    ):
+        # the weekly level subsamples its fitting periods, so its fits run a V search
+        monkeypatch.setattr(synth, "_equality_solve", lambda *args: None)
+        code = run_in(
+            tmp_path, monkeypatch,
+            ["aggregate", "--tweets", str(corpus_dir / "tweets.csv"), "--levels", "7", "--out", "out"],
         )
         assert code == 3
         err = capsys.readouterr().err
@@ -421,6 +438,17 @@ class TestFlags:
         assert combined == steps
 
 
+class TestStartup:
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # scipy.special is most of the import time; only diffusion needs it
+        code = "import sys, synthpanel.cli; print('scipy.special' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+
 class TestPlaceboCommand:
     def test_placebo_csv_columns(self, corpus_dir, tmp_path, monkeypatch):
         code = run_in(
@@ -467,6 +495,7 @@ def all_figures_run(tmp_path_factory):
         "lowercased": CallCounter(classify.ascii_lower, len),
         "cli_flags": CallCounter(cli.user_period_flags, period_days),
         "suite_flags": CallCounter(inference.user_period_flags, period_days),
+        "estimates": CallCounter(cli.estimate_with_placebos, lambda panel, *args: panel.outcome_name),
     }
     with pytest.MonkeyPatch.context() as mp:
         for module, name, counter in (
@@ -474,6 +503,7 @@ def all_figures_run(tmp_path_factory):
             (cli, "bot_filter", "bot_filter"), (cli, "tweet_table", "table"),
             (classify, "ascii_lower", "lowercased"),
             (cli, "user_period_flags", "cli_flags"), (inference, "user_period_flags", "suite_flags"),
+            (cli, "estimate_with_placebos", "estimates"),
         ):
             mp.setattr(module, name, counters[counter])
         code = main(["all-figures", "--tweets", str(root / "data" / "tweets.csv"),
@@ -496,6 +526,11 @@ class TestSharedIngest:
         assert len(seen["lowercased"]) <= seen["bot_filter"][0] + 4 * kept
         assert seen["cli_flags"] == [10]  # one calendar for every outcome and window
         assert seen["suite_flags"] == [1, 7, 10, 28]  # a level only regroups the table
+
+    def test_estimate_and_placebo_share_one_fit_per_outcome(self, all_figures_run):
+        _, seen = all_figures_run
+        # falsify and aggregate fit other windows through their own library calls
+        assert sorted(seen["estimates"]) == ["events", "prop_collective_users", "users"]
 
     def test_each_run_reads_its_inputs_afresh(self, tmp_path, monkeypatch):
         shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgp import factor_panel, noiseless_hull_panel, TREATED
 from oracles import grid_search_fiber, grid_search_full
@@ -327,6 +329,23 @@ class TestOptimizeV:
         assert np.array_equal(w_search.w, w.w)
 
     @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_same_search_when_every_certificate_is_refused(self, case, monkeypatch):
+        problem = self.search_case(case)
+        certified, verdicts = synth._certified, []
+
+        def recorded(*args):
+            verdicts.append(certified(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(synth, "_certified", recorded)
+        v, w = optimize_v(problem)
+        assert any(verdicts)  # the search does take warm answers
+        monkeypatch.setattr(synth, "_certified", lambda *args: False)
+        v_cold, w_cold = optimize_v(problem)
+        assert np.array_equal(v, v_cold)
+        assert np.array_equal(w.w, w_cold.w)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_local_optimum_at_final_step(self, case):
         # no move of the last step tried (0.5 * 2**-18 with the default
         # min_step) on any coordinate lowers the full-pre MSPE
@@ -343,3 +362,95 @@ class TestOptimizeV:
                     continue
                 score = mspe(problem, fit_weights(problem, candidate), problem.all_pre_periods)
                 assert score >= best - 1e-15, (i, direction)
+
+
+@st.composite
+def warm_started_qps(draw):
+    """(A, b, start) of a V-search QP with V on 1-3 periods, and an incumbent.
+
+    Donor columns may repeat, the window may be all zero, and the values
+    are scaled by 1e-6 to 1e6.
+    """
+    n = draw(st.integers(min_value=2, max_value=20))
+    p = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X1 = rng.normal(size=(p, n))
+    x0 = rng.normal(size=p)
+    for j in range(draw(st.integers(min_value=0, max_value=min(3, n - 1)))):
+        X1[:, n - 1 - j] = X1[:, j]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        X1[:], x0[:] = 0.0, 0.0
+    scale = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    X1, x0 = scale * X1, scale * x0
+    v = rng.dirichlet(np.ones(p))
+    start = np.zeros(n)
+    held = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    start[held] = rng.dirichlet(np.ones(held.size))
+    return X1.T @ (v[:, None] * X1), X1.T @ (v * x0), start
+
+
+class TestWarmStart:
+    @given(warm_started_qps())
+    @settings(max_examples=300)
+    def test_certified_warm_answer_is_the_cold_answer(self, qp):
+        A, b, start = qp
+        try:
+            cold = synth._solve_simplex_qp(A, b)
+        except InferenceError:
+            # from a value scale of about 1e2 some KKT systems are too badly
+            # conditioned for the cold solve; then it has no answer to match
+            return
+        warm = synth._active_set(A, b, start.copy(), start > 0)
+        if warm is not None and synth._certified(A, b, *warm):
+            assert np.array_equal(warm[0], cold)
+            # duplicate donors on the support would make the minimizer non-unique
+            held = np.flatnonzero(warm[1])
+            assert np.unique(A[held], axis=0).shape[0] == held.size
+        assert np.array_equal(synth._solve_simplex_qp(A, b, start), cold)
+
+    @pytest.mark.parametrize("treated", [[1.0, 2.0], [2.0, 4.0]], ids=["in-hull", "off-hull"])
+    @pytest.mark.parametrize("start", [[0.3, 0.7, 0.0], [0.2, 0.2, 0.6]])
+    def test_non_unique_minimizer_is_refused(self, treated, start):
+        # two identical donors nearest the treated: every split of the
+        # weight between them is a minimizer. In the hull every gradient
+        # is zero; off it the gradients keep a gap and only the reduced
+        # Hessian shows the split is free
+        X1 = np.array([[1.0, 1.0, 5.0], [2.0, 2.0, -3.0]])
+        v = np.array([0.5, 0.5])
+        A, b = X1.T @ (v[:, None] * X1), X1.T @ (v * np.array(treated))
+        start = np.array(start)
+        warm = synth._active_set(A, b, start.copy(), start > 0)
+        assert warm is not None
+        assert warm[0][:2].sum() == pytest.approx(1.0, abs=1e-12)  # a minimizer ...
+        assert not synth._certified(A, b, *warm)  # ... but not the only one
+        cold = synth._solve_simplex_qp(A, b)
+        assert np.array_equal(synth._solve_simplex_qp(A, b, start), cold)
+
+    def full_rank_qp(self):
+        x0, X1, v = synth._design(random_problem(3, n_donors=4, n_pre=6), None)
+        return X1.T @ (v[:, None] * X1), X1.T @ (v * x0)
+
+    def test_unique_minimizer_is_certified(self):
+        A, b = self.full_rank_qp()
+        cold = synth._solve_simplex_qp(A, b)
+        start = np.full(4, 0.25)
+        warm = synth._active_set(A, b, start.copy(), start > 0)
+        assert synth._certified(A, b, *warm)
+        assert np.array_equal(warm[0], cold)
+
+    @pytest.mark.parametrize("failure", ["non-finite", "raises"])
+    def test_failed_warm_attempt_falls_back_to_cold(self, failure, monkeypatch):
+        A, b = self.full_rank_qp()
+        cold = synth._solve_simplex_qp(A, b)
+        solve, calls = synth._equality_solve, []
+
+        def first_solve_fails(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                return solve(*args)
+            if failure == "raises":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return None
+
+        monkeypatch.setattr(synth, "_equality_solve", first_solve_fails)
+        assert np.array_equal(synth._solve_simplex_qp(A, b, np.array([0.1, 0.2, 0.3, 0.4])), cold)
