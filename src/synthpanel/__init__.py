@@ -7,14 +7,12 @@ from .panel import (
     PanelSeries,
     PeriodCalendar,
     SampleRestriction,
-    assign_period,
-    build_panel,
     normalize_at_reference,
     restrict_sample,
 )
 from .classify import (
     PhraseLexicon,
-    TweetRecord,
+    TweetColumns,
     TweetTable,
     UserPeriodFlags,
     bot_filter,
@@ -25,7 +23,7 @@ from .classify import (
     twitter_outcomes,
     user_period_flags,
 )
-from .events import EventRecord, event_panel, read_events_csv
+from .events import EventColumns, event_panel, read_events_csv
 from .synth import SynthFit, SynthProblem, WeightVector, effect_series, fit_synth, fit_weights, optimize_v
 from .inference import (
     AveragedEffect,

@@ -4,17 +4,15 @@ outcome panels."""
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, PanelRangeError, SchemaError
-from .panel import PanelSeries, PeriodCalendar, day_offsets
+from .panel import PanelSeries, PeriodCalendar, csv_rows, day_offsets, utf8_lines
 
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
@@ -75,11 +73,10 @@ class PhraseLexicon:
 def load_lexicon(path: Path | str, name: str) -> PhraseLexicon:
     """Read one phrase per line; only the trailing newline is stripped."""
     phrases = []
-    with open(path, encoding="utf-8", newline="") as f:
-        for line in f:
-            phrase = line.rstrip("\r\n")
-            if phrase:
-                phrases.append(phrase)
+    for line in utf8_lines(path):
+        phrase = line.rstrip("\r\n")
+        if phrase:
+            phrases.append(phrase)
     return PhraseLexicon(name=name, phrases=tuple(phrases))
 
 
@@ -106,22 +103,32 @@ def match_phrases(text: str, lexicon: PhraseLexicon) -> bool:
     return any(p in low for p in lexicon.phrases)
 
 
-@dataclass(frozen=True)
-class TweetRecord:
-    """One georeferenced tweet with the user metadata carried at tweet time."""
+@dataclass(frozen=True, eq=False)
+class TweetColumns:
+    """Rows of the tweet CSV as columns, one entry per tweet.
 
-    tweet_id: str
-    user_id: str
-    timestamp: dt.datetime
-    country_code: str
-    text: str
-    source: str
-    user_created_at: dt.datetime
-    statuses_count: int
-    user_description: str
-    user_location: str
-    user_lang: str
-    tweet_lang: str
+    `timestamp` and `user_created_at` are integer UTC microseconds since
+    1970-01-01 and `statuses_count` is an integer; the other columns are
+    object arrays of str, with country codes in upper case. The language
+    columns are not kept.
+    """
+
+    tweet_id: np.ndarray
+    user_id: np.ndarray
+    timestamp: np.ndarray
+    country_code: np.ndarray
+    text: np.ndarray
+    source: np.ndarray
+    user_created_at: np.ndarray
+    statuses_count: np.ndarray
+    user_description: np.ndarray
+    user_location: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def take(self, rows: np.ndarray) -> "TweetColumns":
+        return TweetColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 # bits of TweetTable.bits: lexicon hits of one tweet
@@ -174,123 +181,121 @@ class UserPeriodFlags:
     political: np.ndarray
 
 
-def _parse_timestamp(raw: str, row: int, column: str) -> dt.datetime:
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_MICROSECOND = dt.timedelta(microseconds=1)
+_DAY_US = 86_400_000_000
+_INTEGER_COLUMNS = ("timestamp", "user_created_at", "statuses_count")
+# larger counts are stored as this int64 maximum, which still exceeds every day count
+_MAX_STATUSES = 2**63 - 1
+
+
+def _parse_timestamp(raw: str, row: int, column: str) -> int:
+    """UTC microseconds since 1970 of an ISO-8601 timestamp; a naive one is UTC."""
     try:
         parsed = dt.datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError:
         raise SchemaError(f"row {row}: column {column} is not an ISO-8601 timestamp: {raw!r}")
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=dt.timezone.utc)
-    return parsed.astimezone(dt.timezone.utc)
+    return (parsed - _EPOCH) // _MICROSECOND
 
 
-def read_tweets_csv(path: Path | str) -> list[TweetRecord]:
-    """Parse the tweet CSV schema (RFC 4180, header required, UTF-8)."""
-    records = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+def read_tweets_csv(path: Path | str) -> TweetColumns:
+    """Parse the tweet CSV schema (RFC 4180, header required, UTF-8) into columns.
+
+    Rows are checked in file order and the first bad one raises
+    SchemaError with its row number.
+    """
+    rows = []
+    for row_no, row in csv_rows(path, TWEET_CSV_COLUMNS, "tweet"):
+        (tweet_id, user_id, timestamp, country, text, source, created, statuses,
+         description, location, _, _) = row
+        if len(country) != 2 or not country.isascii() or not country.isalpha():
+            raise SchemaError(f"row {row_no}: country_code {country!r} is not two ASCII letters")
+        if not statuses.strip():
+            raise SchemaError(f"row {row_no}: statuses_count missing")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("row 1: tweet CSV is empty; header row required")
-        if tuple(header) != TWEET_CSV_COLUMNS:
-            raise SchemaError(f"row 1: expected header {','.join(TWEET_CSV_COLUMNS)}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(TWEET_CSV_COLUMNS):
-                raise SchemaError(f"row {row_no}: expected {len(TWEET_CSV_COLUMNS)} fields, got {len(row)}")
-            raw = dict(zip(TWEET_CSV_COLUMNS, row))
-            country = raw["country_code"]
-            if len(country) != 2 or not country.isascii() or not country.isalpha():
-                raise SchemaError(f"row {row_no}: country_code {country!r} is not two ASCII letters")
-            if not raw["statuses_count"].strip():
-                raise SchemaError(f"row {row_no}: statuses_count missing")
-            try:
-                statuses = int(raw["statuses_count"])
-            except ValueError:
-                raise SchemaError(f"row {row_no}: statuses_count {raw['statuses_count']!r} is not an integer")
-            if statuses < 0:
-                raise SchemaError(f"row {row_no}: statuses_count is negative")
-            timestamp = _parse_timestamp(raw["timestamp"], row_no, "timestamp")
-            created = _parse_timestamp(raw["user_created_at"], row_no, "user_created_at")
-            if timestamp < created:
-                raise SchemaError(f"row {row_no}: timestamp precedes user_created_at")
-            records.append(
-                TweetRecord(
-                    tweet_id=raw["tweet_id"],
-                    user_id=raw["user_id"],
-                    timestamp=timestamp,
-                    country_code=country.upper(),
-                    text=raw["text"],
-                    source=raw["source"],
-                    user_created_at=created,
-                    statuses_count=statuses,
-                    user_description=raw["user_description"],
-                    user_location=raw["user_location"],
-                    user_lang=raw["user_lang"],
-                    tweet_lang=raw["tweet_lang"],
-                )
-            )
-    return records
+            count = int(statuses)
+        except ValueError:
+            raise SchemaError(f"row {row_no}: statuses_count {statuses!r} is not an integer")
+        if count < 0:
+            raise SchemaError(f"row {row_no}: statuses_count is negative")
+        at = _parse_timestamp(timestamp, row_no, "timestamp")
+        created_at = _parse_timestamp(created, row_no, "user_created_at")
+        if at < created_at:
+            raise SchemaError(f"row {row_no}: timestamp precedes user_created_at")
+        rows.append((
+            tweet_id, user_id, at, country.upper(), text, source, created_at,
+            min(count, _MAX_STATUSES), description, location,
+        ))
+    names = [f.name for f in fields(TweetColumns)]
+    columns = zip(*rows) if rows else [()] * len(names)
+    return TweetColumns(*(
+        np.array(column, dtype=np.int64 if name in _INTEGER_COLUMNS else object)
+        for name, column in zip(names, columns)
+    ))
 
 
-def bot_filter(
-    records: Iterable[TweetRecord], lexicons: dict[str, PhraseLexicon]
-) -> list[TweetRecord]:
+def bot_filter(tweets: TweetColumns, lexicons: dict[str, PhraseLexicon]) -> TweetColumns:
     """Drop every tweet whose user description matches the bot lexicon."""
     bot = lexicons["bot"]
-    return [r for r in records if not match_phrases(r.user_description, bot)]
+    is_bot = {d: match_phrases(d, bot) for d in set(tweets.user_description)}
+    return tweets.take(np.array([not is_bot[d] for d in tweets.user_description], dtype=bool))
+
+
+def _codes(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct strings of `values`, and each value's index among them."""
+    distinct = sorted(set(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
 
 
 def tweet_table(
-    records: Sequence[TweetRecord], lexicons: dict[str, PhraseLexicon], anchor_date: dt.date
+    tweets: TweetColumns, lexicons: dict[str, PhraseLexicon], anchor_date: dt.date
 ) -> TweetTable:
     """Classify bot-filtered tweets once into a column table for any calendar.
 
     Each text is ASCII-lowercased and matched once (sources, descriptions
     and locations once per distinct value). A user's `infrequent` flag
     comes from their first tweet by (timestamp, tweet_id): statuses_count
-    divided by whole days since account creation (floored at one day)
-    below one tweet per day. A tweet or account-creation date outside
-    1970-2100 raises PanelRangeError.
+    below the whole days since account creation (floored at one day),
+    that is, under one tweet per day. A tweet or account-creation date
+    outside 1970-2100 raises PanelRangeError.
     """
     collective = lexicons["collective"].phrases
     political = lexicons["political"].phrases
-    apple = {s: match_phrases(s, lexicons["apple_source"]) for s in {r.source for r in records}}
+    apple = {s: match_phrases(s, lexicons["apple_source"]) for s in set(tweets.source)}
     student = {
         s: match_phrases(s, lexicons["student"])
-        for s in {r.user_description for r in records} | {r.user_location for r in records}
+        for s in set(tweets.user_description) | set(tweets.user_location)
     }
-    bits = np.zeros(len(records), dtype=np.uint8)
-    first_seen: dict[str, TweetRecord] = {}
-    for i, r in enumerate(records):
-        low = ascii_lower(r.text)
-        b = APPLE_SOURCE if apple[r.source] else 0
-        if student[r.user_description] or student[r.user_location]:
+    bits = np.zeros(len(tweets), dtype=np.uint8)
+    rows = zip(tweets.text, tweets.source, tweets.user_description, tweets.user_location)
+    for i, (text, source, description, location) in enumerate(rows):
+        low = ascii_lower(text)
+        b = APPLE_SOURCE if apple[source] else 0
+        if student[description] or student[location]:
             b |= STUDENT
         if any(p in low for p in collective):
             b |= COLLECTIVE | (TAX if "tax" in low else 0)
         if any(p in low for p in political):
             b |= POLITICAL
         bits[i] = b
-        cur = first_seen.get(r.user_id)
-        if cur is None or (r.timestamp, r.tweet_id) < (cur.timestamp, cur.tweet_id):
-            first_seen[r.user_id] = r
-    users = {u: code for code, u in enumerate(sorted(first_seen))}
-    countries = tuple(sorted({r.country_code for r in records}))
-    country_code = {c: code for code, c in enumerate(countries)}
-    infrequent = np.zeros(len(users), dtype=bool)
-    for user_id, r in first_seen.items():
-        days = max(1, (r.timestamp - r.user_created_at).days)
-        infrequent[users[user_id]] = r.statuses_count / days < 1.0
+    user_ids, user = _codes(tweets.user_id)
+    countries, country = _codes(tweets.country_code)
+    # each user's first tweet by (timestamp, tweet_id), ties kept in file order
+    order = np.lexsort((_codes(tweets.tweet_id)[1], tweets.timestamp, user))
+    first = order[np.searchsorted(user[order], np.arange(len(user_ids)))]
+    whole_days = (tweets.timestamp[first] - tweets.user_created_at[first]) // _DAY_US
     return TweetTable(
         anchor_date=anchor_date,
-        countries=countries,
-        day=day_offsets([r.timestamp for r in records], anchor_date),
-        created_day=day_offsets([r.user_created_at for r in records], anchor_date),
-        user=np.array([users[r.user_id] for r in records], dtype=np.int64),
-        country=np.array([country_code[r.country_code] for r in records], dtype=np.int64),
+        countries=tuple(countries),
+        day=day_offsets(tweets.timestamp // _DAY_US, anchor_date),
+        created_day=day_offsets(tweets.user_created_at // _DAY_US, anchor_date),
+        user=user,
+        country=country,
         bits=bits,
-        infrequent=infrequent,
+        infrequent=tweets.statuses_count[first] < np.maximum(whole_days, 1),
     )
 
 

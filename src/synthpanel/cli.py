@@ -38,7 +38,7 @@ from .errors import (
     InferenceError,
     PanelRangeError,
 )
-from .events import event_panel, read_events_csv
+from .events import EventColumns, event_panel, read_events_csv
 from .inference import (
     EstimatorConfig,
     PlaceboDistribution,
@@ -48,7 +48,15 @@ from .inference import (
     falsification_run,
     pointwise_band,
 )
-from .panel import PanelSeries, PeriodCalendar, SampleRestriction, normalize_at_reference, restrict_sample
+from .panel import (
+    EPOCH,
+    PanelSeries,
+    PeriodCalendar,
+    SampleRestriction,
+    normalize_at_reference,
+    restrict_sample,
+    utf8_lines,
+)
 from .svgplot import LineChart
 from .synth import SynthFit
 
@@ -62,29 +70,28 @@ ALL_OUTCOMES = OUTCOME_NAMES + ("events",)
 def _parse_flat_config(path: Path) -> dict:
     """Flat key = value file (TOML-compatible subset); '#' starts a comment line."""
     values: dict = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigurationError(f"{path}:{line_no}: expected key = value")
-            key, _, raw = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if raw.startswith(("\"", "'")) and raw.endswith(raw[0]) and len(raw) >= 2:
-                values[key] = raw[1:-1]
-                continue
-            if raw.lower() in ("true", "false"):
-                values[key] = raw.lower() == "true"
-                continue
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigurationError(f"{path}:{line_no}: expected key = value")
+        key, _, raw = stripped.partition("=")
+        key = key.strip().replace("-", "_")
+        raw = raw.strip()
+        if raw.startswith(("\"", "'")) and raw.endswith(raw[0]) and len(raw) >= 2:
+            values[key] = raw[1:-1]
+            continue
+        if raw.lower() in ("true", "false"):
+            values[key] = raw.lower() == "true"
+            continue
+        try:
+            values[key] = int(raw)
+        except ValueError:
             try:
-                values[key] = int(raw)
+                values[key] = float(raw)
             except ValueError:
-                try:
-                    values[key] = float(raw)
-                except ValueError:
-                    values[key] = raw
+                values[key] = raw
     return values
 
 
@@ -185,20 +192,20 @@ class RunInputs:
         if not self.args.tweets:
             raise ConfigurationError("this command needs --tweets")
         lexicons = load_lexicons(self.args.lexicons)
-        records = bot_filter(read_tweets_csv(self.args.tweets), lexicons)
-        return tweet_table(records, lexicons, self.args.anchor)
+        tweets = bot_filter(read_tweets_csv(self.args.tweets), lexicons)
+        return tweet_table(tweets, lexicons, self.args.anchor)
 
     @cached_property
     def flags(self) -> UserPeriodFlags:
         return user_period_flags(self.tweets, self.calendar)
 
     @cached_property
-    def events(self):
-        """(event records, their (first, last) day offsets or None)."""
+    def events(self) -> tuple[EventColumns, tuple[int, int] | None]:
+        """(the retained events, their (first, last) day offsets or None)."""
         if not self.args.events:
             raise ConfigurationError("this command needs --events")
-        records = read_events_csv(self.args.events)
-        return records, _day_span([(r.date - self.args.anchor).days for r in records])
+        events = read_events_csv(self.args.events)
+        return events, _day_span(events.day - (self.args.anchor - EPOCH).days)
 
     def twitter_panels(self, pre_factor: int = 1) -> dict[str, PanelSeries]:
         window = _window(self.args, _day_span(self.tweets.day), pre_factor)
@@ -209,8 +216,8 @@ class RunInputs:
         return self._twitter_panels[window]
 
     def event_panel(self, pre_factor: int = 1) -> PanelSeries:
-        records, span = self.events
-        return event_panel(records, self.calendar, periods=_window(self.args, span, pre_factor))
+        events, span = self.events
+        return event_panel(events, self.calendar, periods=_window(self.args, span, pre_factor))
 
     def estimate(self, outcome: str) -> tuple[PanelSeries, SynthFit, PlaceboDistribution]:
         """The outcome's estimation panel, treated fit and placebo distribution."""
@@ -579,8 +586,15 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
         add(parser)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as a ConfigurationError: one line, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="synthpanel", description=__doc__)
+    parser = _Parser(prog="synthpanel", description=__doc__)
     parser.add_argument("--version", action="version", version=f"synthpanel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text, func in (

@@ -16,10 +16,6 @@ class SchemaError(DataError):
     """CSV schema violation; message carries the offending row number."""
 
 
-class AggregationError(DataError):
-    """Duplicate (country, period) cells handed to panel construction."""
-
-
 class PanelRangeError(DataError):
     """Timestamp, period, or window outside the supported range."""
 

@@ -3,132 +3,98 @@ per country-period."""
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, PanelRangeError, SchemaError
-from .panel import PanelSeries, PeriodCalendar, assign_period
+from .panel import EPOCH, PanelSeries, PeriodCalendar, csv_rows, day_offsets
 
 DATASETS = ("ACLED", "ICEWS")
 EVENT_CSV_COLUMNS = ("dataset", "country_code", "date", "event_type")
 
 _ACLED_KEEP = "Riots/protests"
-_ICEWS_KEEP = "Protest"
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One protest or riot event; only the retained event types exist here."""
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """Retained protest events as columns, one entry per event.
 
-    dataset: str
-    country_code: str
-    date: dt.date
-    event_type: str
+    `dataset` indexes DATASETS, `country` holds upper-case country codes
+    and `day` the UTC day number (days since 1970-01-01) of each event.
+    """
 
-    def __post_init__(self):
-        if self.dataset not in DATASETS:
-            raise SchemaError(f"unknown dataset {self.dataset!r}")
-        expected = _ACLED_KEEP if self.dataset == "ACLED" else _ICEWS_KEEP
-        if self.event_type != expected:
-            raise SchemaError(
-                f"{self.dataset} records must have event_type {expected!r}"
-            )
+    dataset: np.ndarray
+    country: np.ndarray
+    day: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.day)
 
 
-def _normalize_type(dataset: str, raw: str) -> str | None:
-    """Map raw labels to the retained type, or None to drop the record."""
+def _retained(dataset: str, event_type: str) -> bool:
+    """ACLED keeps its exact riot/protest label, ICEWS any protest label."""
     if dataset == "ACLED":
-        return _ACLED_KEEP if raw == _ACLED_KEEP else None
-    if raw.strip().lower() in ("protest", "protests"):
-        return _ICEWS_KEEP
-    return None
+        return event_type == _ACLED_KEEP
+    return event_type.strip().lower() in ("protest", "protests")
 
 
-def read_events_csv(path: Path | str) -> list[EventRecord]:
+def read_events_csv(path: Path | str) -> EventColumns:
     """Parse the event CSV schema; rows of non-protest types are dropped."""
-    records = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    rows = []
+    for row_no, (dataset, country, date_raw, event_type) in csv_rows(path, EVENT_CSV_COLUMNS, "event"):
+        if dataset not in DATASETS:
+            raise SchemaError(f"row {row_no}: dataset must be ACLED or ICEWS, got {dataset!r}")
+        if len(country) != 2 or not country.isascii() or not country.isalpha():
+            raise SchemaError(f"row {row_no}: country_code {country!r} is not two ASCII letters")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("row 1: event CSV is empty; header row required")
-        if tuple(header) != EVENT_CSV_COLUMNS:
-            raise SchemaError(f"row 1: expected header {','.join(EVENT_CSV_COLUMNS)}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(EVENT_CSV_COLUMNS):
-                raise SchemaError(f"row {row_no}: expected {len(EVENT_CSV_COLUMNS)} fields")
-            dataset, country, date_raw, event_type = row
-            if dataset not in DATASETS:
-                raise SchemaError(f"row {row_no}: dataset must be ACLED or ICEWS, got {dataset!r}")
-            if len(country) != 2 or not country.isascii() or not country.isalpha():
-                raise SchemaError(f"row {row_no}: country_code {country!r} is not two ASCII letters")
-            try:
-                date = dt.date.fromisoformat(date_raw)
-            except ValueError:
-                raise SchemaError(f"row {row_no}: date {date_raw!r} is not ISO-8601")
-            kept = _normalize_type(dataset, event_type)
-            if kept is None:
-                continue
-            records.append(
-                EventRecord(
-                    dataset=dataset,
-                    country_code=country.upper(),
-                    date=date,
-                    event_type=kept,
-                )
-            )
-    return records
+            date = dt.date.fromisoformat(date_raw)
+        except ValueError:
+            raise SchemaError(f"row {row_no}: date {date_raw!r} is not ISO-8601")
+        if _retained(dataset, event_type):
+            rows.append((DATASETS.index(dataset), country.upper(), (date - EPOCH).days))
+    dataset, country, day = zip(*rows) if rows else ((), (), ())
+    return EventColumns(
+        dataset=np.array(dataset, dtype=np.int64),
+        country=np.array(country, dtype=object),
+        day=np.array(day, dtype=np.int64),
+    )
 
 
 def event_panel(
-    records: Sequence[EventRecord] | Iterable[EventRecord],
+    events: EventColumns,
     cal: PeriodCalendar,
-    transform: str = "level",
     periods: tuple[int, int] | None = None,
 ) -> PanelSeries:
-    """Average of the two datasets' per-cell event counts.
+    """Average of the two datasets' per-cell event counts, in levels.
 
-    Countries must appear in both datasets anywhere in the sample; the
-    transform (level or log1p) is applied after averaging.
+    Countries must appear in both datasets anywhere in the sample.
+    `periods` forces the (t_min, t_max) range, otherwise it spans the
+    events.
     """
-    records = list(records)
-    present = {r.dataset for r in records}
-    missing = [d for d in DATASETS if d not in present]
+    missing = [d for i, d in enumerate(DATASETS) if not (events.dataset == i).any()]
     if missing:
         raise ConfigurationError(
             f"event dataset(s) entirely absent from input: {', '.join(missing)}"
         )
-    counts: dict[str, dict[tuple[str, int], int]] = {d: {} for d in DATASETS}
-    countries_by_dataset: dict[str, set[str]] = {d: set() for d in DATASETS}
-    ts = []
-    for r in records:
-        t = assign_period(dt.datetime(r.date.year, r.date.month, r.date.day, tzinfo=dt.timezone.utc), cal)
-        ts.append(t)
-        countries_by_dataset[r.dataset].add(r.country_code)
-        cell = (r.country_code, t)
-        counts[r.dataset][cell] = counts[r.dataset].get(cell, 0) + 1
-    both = countries_by_dataset["ACLED"] & countries_by_dataset["ICEWS"]
+    period = day_offsets(events.day, cal.anchor_date) // cal.period_length_days
     if periods is None:
-        periods = (min(ts), max(ts))
+        periods = (int(period.min()), int(period.max()))
     lo, hi = periods
     if lo > hi:
         raise PanelRangeError(f"empty period range {lo}..{hi}")
-    countries = tuple(sorted(both))
-    values = np.zeros((len(countries), hi - lo + 1))
-    for dataset in DATASETS:
-        for (c, t), n in counts[dataset].items():
-            if c in both and lo <= t <= hi:
-                values[countries.index(c), t - lo] += 0.5 * n
-    panel = PanelSeries(
+    acled, icews = (set(events.country[events.dataset == i]) for i in range(len(DATASETS)))
+    countries = tuple(sorted(acled & icews))
+    code = {c: i for i, c in enumerate(countries)}
+    row = np.array([code.get(c, -1) for c in events.country], dtype=np.int64)
+    keep = (row >= 0) & (lo <= period) & (period <= hi)
+    width = hi - lo + 1
+    counts = np.bincount(row[keep] * width + period[keep] - lo, minlength=len(countries) * width)
+    return PanelSeries(
         outcome_name="events",
         countries=countries,
         periods=tuple(range(lo, hi + 1)),
-        values=values,
+        values=0.5 * counts.reshape(len(countries), width),
     )
-    return panel.log1p() if transform == "log1p" else panel

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import TweetTable, twitter_outcomes, user_period_flags
-from .errors import DataError, InferenceError, PanelRangeError
+from .errors import ConfigurationError, DataError, InferenceError, PanelRangeError
 from .panel import PanelSeries, PeriodCalendar, SampleRestriction, restrict_sample
 from .synth import SynthFit, SynthProblem, fit_synth, optimize_v, package_fit
 
@@ -205,6 +205,8 @@ def falsification_run(
     before the anchor, with the placebo machinery unchanged (the held-out
     window plays the role of the post window throughout).
     """
+    if cutoff_days < 1:
+        raise ConfigurationError(f"cutoff_days must be positive, got {cutoff_days}")
     n_cut = math.ceil(cutoff_days / period_length_days)
     fit_periods = tuple(t for t in panel.periods if t < -n_cut)
     eval_periods = tuple(t for t in panel.periods if -n_cut <= t <= -1)

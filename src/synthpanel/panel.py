@@ -1,28 +1,31 @@
 """Panel data model: period calendar, dense country-by-period matrices,
-transforms, and sample restrictions shared by every outcome."""
+transforms, and sample restrictions shared by every outcome, plus the
+CSV row reader and UTC day offsets both inputs share."""
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
-    AggregationError,
     ConfigurationError,
     DataError,
     InsufficientDonorsError,
     PanelRangeError,
+    SchemaError,
 )
 
 DEFAULT_ANCHOR = dt.date(2018, 7, 1)
 SUPPORTED_PERIOD_LENGTHS = (1, 7, 10, 28)
 
-_MIN_DATE = dt.date(1970, 1, 1)
-_MAX_DATE = dt.date(2100, 12, 31)
+EPOCH = dt.date(1970, 1, 1)  # day number 0
+_LAST_DAY = (dt.date(2100, 12, 31) - EPOCH).days
 
 
 @dataclass(frozen=True)
@@ -44,46 +47,63 @@ class PeriodCalendar:
                 f"got {self.period_length_days}"
             )
 
-    def period_start(self, t: int) -> dt.date:
-        return self.anchor_date + dt.timedelta(days=t * self.period_length_days)
+
+def utf8_lines(path: Path | str) -> Iterator[str]:
+    """Lines of a UTF-8 text file, line endings kept; other bytes are a DataError."""
+    with open(path, encoding="utf-8", newline="") as f:
+        try:
+            yield from f
+        except UnicodeDecodeError:
+            raise DataError(f"{path} is not UTF-8 text") from None
 
 
-def _as_utc_date(timestamp: dt.datetime | dt.date) -> dt.date:
-    if isinstance(timestamp, dt.datetime):
-        if timestamp.tzinfo is not None:
-            timestamp = timestamp.astimezone(dt.timezone.utc)
-        return timestamp.date()
-    return timestamp
+def csv_rows(path: Path | str, columns: tuple[str, ...], kind: str) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) of each data row of a UTF-8 CSV with header `columns`.
 
-
-def assign_period(timestamp: dt.datetime | dt.date, cal: PeriodCalendar) -> int:
-    """Integer period index of a UTC timestamp under `cal`.
-
-    Day differences are taken on UTC calendar dates, so a timestamp at
-    23:59 the day before the anchor lands in period -1.
+    Row 1 is the header; every later row must have one field per column.
+    A malformed row, such as a field over the `csv` module's size limit,
+    raises SchemaError with its row number. `kind` names the file when
+    it is empty.
     """
-    day = _as_utc_date(timestamp)
-    if not _MIN_DATE <= day <= _MAX_DATE:
-        raise _out_of_range(day)
-    return (day - cal.anchor_date).days // cal.period_length_days
+    reader = csv.reader(utf8_lines(path))
+    row_no = 0
+    try:
+        header = next(reader, None)
+        row_no = 1
+        if header is None:
+            raise SchemaError(f"row 1: {kind} CSV is empty; header row required")
+        if tuple(header) != columns:
+            raise SchemaError(f"row 1: expected header {','.join(columns)}")
+        for row in reader:
+            row_no += 1
+            if len(row) != len(columns):
+                raise SchemaError(f"row {row_no}: expected {len(columns)} fields, got {len(row)}")
+            yield row_no, row
+    except csv.Error as exc:
+        raise SchemaError(f"row {row_no + 1}: {exc}") from None
 
 
-def day_offsets(timestamps: Iterable[dt.datetime | dt.date], anchor: dt.date) -> np.ndarray:
-    """UTC calendar-day offsets of timestamps from `anchor`, as int64.
+def day_offsets(days: np.ndarray, anchor: dt.date) -> np.ndarray:
+    """Offsets from `anchor` of UTC day numbers, as int64.
 
-    Days are taken as in `assign_period`, so under any calendar anchored
-    at `anchor` a timestamp's period is its offset floor-divided by the
-    period length. Dates outside 1970-2100 raise PanelRangeError.
+    A day number counts UTC calendar days since 1970-01-01, so under any
+    calendar anchored at `anchor` a day's period is its offset
+    floor-divided by the period length. Days outside 1970-2100 raise
+    PanelRangeError.
     """
-    days = np.array([(_as_utc_date(t) - anchor).days for t in timestamps], dtype=np.int64)
-    outside = (days < (_MIN_DATE - anchor).days) | (days > (_MAX_DATE - anchor).days)
+    days = np.asarray(days, dtype=np.int64)
+    outside = (days < 0) | (days > _LAST_DAY)
     if outside.any():
-        raise _out_of_range(anchor + dt.timedelta(days=int(days[outside.argmax()])))
-    return days
+        raise _out_of_range(int(days[outside.argmax()]))
+    return days - (anchor - EPOCH).days
 
 
-def _out_of_range(day: dt.date) -> PanelRangeError:
-    return PanelRangeError(f"timestamp {day.isoformat()} outside supported range 1970-2100")
+def _out_of_range(day: int) -> PanelRangeError:
+    try:
+        when = (EPOCH + dt.timedelta(days=day)).isoformat()
+    except OverflowError:  # a UTC day can fall one day outside years 1-9999
+        when = f"{day} days from 1970-01-01"
+    return PanelRangeError(f"timestamp {when} outside supported range 1970-2100")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,23 +179,6 @@ class PanelSeries:
             flagged=None if self.flagged is None else self.flagged[rows],
         )
 
-    def window(self, t_min: int, t_max: int) -> "PanelSeries":
-        if t_min > t_max:
-            raise PanelRangeError(f"empty window {t_min}..{t_max}")
-        if t_min < self.t_min or t_max > self.t_max:
-            raise PanelRangeError(
-                f"window {t_min}..{t_max} outside panel range {self.t_min}..{self.t_max}"
-            )
-        lo = self.period_index(t_min)
-        hi = self.period_index(t_max) + 1
-        return PanelSeries(
-            outcome_name=self.outcome_name,
-            countries=self.countries,
-            periods=self.periods[lo:hi],
-            values=self.values[:, lo:hi],
-            flagged=None if self.flagged is None else self.flagged[:, lo:hi],
-        )
-
     def log1p(self) -> "PanelSeries":
         """Log of one plus the level, elementwise."""
         if np.any(self.values < 0):
@@ -204,53 +207,6 @@ class SampleRestriction:
     def __post_init__(self):
         if not 0.0 < self.parameter <= 1.0:
             raise ConfigurationError("restriction parameter must be in (0, 1]")
-
-
-def build_panel(
-    records: Iterable[tuple[str, int, float]],
-    cal: PeriodCalendar,
-    transform: str = "level",
-    periods: tuple[int, int] | None = None,
-    outcome_name: str = "",
-) -> PanelSeries:
-    """Assemble a dense PanelSeries from (country, period, count) triples.
-
-    Counts must be pre-summed per cell; a duplicate (country, period) pair
-    raises AggregationError. Cells without a record are zero. `periods`
-    forces the (t_min, t_max) range, otherwise it is inferred from the
-    records; records outside a forced range are dropped.
-    """
-    if transform not in ("level", "log1p"):
-        raise ConfigurationError(f"unknown transform {transform!r}")
-    cells: dict[tuple[str, int], float] = {}
-    for country, t, count in records:
-        if count < 0:
-            raise DataError(f"negative count {count} for ({country}, {t})")
-        key = (country, int(t))
-        if key in cells:
-            raise AggregationError(f"duplicate cell for country {country}, period {t}")
-        cells[key] = float(count)
-    if periods is None:
-        if not cells:
-            raise DataError("no records and no explicit period range")
-        ts = [t for _, t in cells]
-        t_min, t_max = min(ts), max(ts)
-    else:
-        t_min, t_max = periods
-        if t_min > t_max:
-            raise PanelRangeError(f"empty period range {t_min}..{t_max}")
-        cells = {(c, t): v for (c, t), v in cells.items() if t_min <= t <= t_max}
-    countries = tuple(sorted({c for c, _ in cells}))
-    values = np.zeros((len(countries), t_max - t_min + 1))
-    for (country, t), count in cells.items():
-        values[countries.index(country), t - t_min] = count
-    panel = PanelSeries(
-        outcome_name=outcome_name,
-        countries=countries,
-        periods=tuple(range(t_min, t_max + 1)),
-        values=values,
-    )
-    return panel.log1p() if transform == "log1p" else panel
 
 
 def restrict_sample(panel: PanelSeries, restriction: SampleRestriction) -> PanelSeries:

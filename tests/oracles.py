@@ -8,7 +8,16 @@ along the last two (a one-dimensional quadratic in the split) is
 minimized exactly over its grid, which returns the same value as full
 enumeration at a fraction of the cost. `test_synth` cross-checks the
 fiber path against full enumeration.
+
+The per-row references below read the tweet and event CSVs one row at a
+time into objects with aware UTC datetimes and dates, the way the program
+did before it read straight into columns, and count periods by UTC
+calendar date.
 """
+
+import csv
+import datetime as dt
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -107,3 +116,93 @@ def quantile_sorted(values, level: float) -> float:
     k = int(h)
     frac = h - k
     return xs[k - 1] + frac * (xs[k] - xs[k - 1])
+
+
+UTC = dt.timezone.utc
+TWEET_HEADER = (
+    "tweet_id,user_id,timestamp,country_code,text,source,user_created_at,statuses_count,"
+    "user_description,user_location,user_lang,tweet_lang"
+).split(",")
+EVENT_HEADER = ["dataset", "country_code", "date", "event_type"]
+
+
+@dataclass(frozen=True)
+class Tweet:
+    """One tweet row; written out, a naive or non-UTC datetime keeps its form."""
+
+    tweet_id: str = "t1"
+    user_id: str = "u1"
+    timestamp: dt.datetime = dt.datetime(2018, 7, 2, 10, 0, tzinfo=UTC)
+    country_code: str = "UG"
+    text: str = "hello"
+    source: str = "Twitter Web Client"
+    user_created_at: dt.datetime = dt.datetime(2017, 1, 1, tzinfo=UTC)
+    statuses_count: int = 1000
+    user_description: str = ""
+    user_location: str = ""
+
+
+@dataclass(frozen=True)
+class Event:
+    dataset: str
+    country_code: str
+    date: dt.date
+    event_type: str
+
+
+def write_tweets(path, tweets) -> None:
+    """A tweet CSV of `tweets` (Tweet objects or rows of raw strings)."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(TWEET_HEADER)
+        for t in tweets:
+            row = astuple(t) if isinstance(t, Tweet) else tuple(t)
+            writer.writerow([v.isoformat() if isinstance(v, dt.date) else v for v in row] + ["en", "en"])
+
+
+def write_events(path, events) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(EVENT_HEADER)
+        writer.writerows([e.dataset, e.country_code, e.date.isoformat(), e.event_type] for e in events)
+
+
+def utc(raw: str) -> dt.datetime:
+    """An ISO-8601 timestamp as an aware UTC datetime; a naive one is UTC."""
+    parsed = dt.datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    return parsed.astimezone(UTC) if parsed.tzinfo else parsed.replace(tzinfo=UTC)
+
+
+def read_tweets(path) -> list[Tweet]:
+    """Every row of a valid tweet CSV, one Tweet each, timestamps in UTC."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return [
+            Tweet(
+                r["tweet_id"], r["user_id"], utc(r["timestamp"]), r["country_code"].upper(),
+                r["text"], r["source"], utc(r["user_created_at"]), int(r["statuses_count"]),
+                r["user_description"], r["user_location"],
+            )
+            for r in csv.DictReader(f)
+        ]
+
+
+def period(when, cal) -> int:
+    """Period under `cal` of a datetime (naive means UTC) or a date, by UTC date."""
+    if isinstance(when, dt.datetime):
+        when = (when.astimezone(UTC) if when.tzinfo else when).date()
+    return (when - cal.anchor_date).days // cal.period_length_days
+
+
+def first_tweets(tweets) -> dict:
+    """Each user's first tweet by (timestamp, tweet_id); an earlier row wins a tie."""
+    first = {}
+    for t in tweets:
+        seen = first.get(t.user_id)
+        if seen is None or (t.timestamp, t.tweet_id) < (seen.timestamp, seen.tweet_id):
+            first[t.user_id] = t
+    return first
+
+
+def infrequent(t: Tweet) -> bool:
+    """Under one status per whole day since account creation (at least one day)."""
+    return t.statuses_count / max(1, (t.timestamp - t.user_created_at).days) < 1

@@ -1,10 +1,11 @@
 import datetime as dt
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthpanel.classify import (
@@ -15,7 +16,6 @@ from synthpanel.classify import (
     STUDENT,
     TAX,
     PhraseLexicon,
-    TweetRecord,
     ascii_lower,
     bot_filter,
     load_lexicons,
@@ -27,7 +27,8 @@ from synthpanel.classify import (
 )
 from synthpanel.demo import CorpusSpec, write_corpus
 from synthpanel.errors import ConfigurationError, PanelRangeError, SchemaError
-from synthpanel.panel import PeriodCalendar, assign_period
+from synthpanel.panel import PeriodCalendar
+from oracles import Tweet, first_tweets, infrequent, period, read_tweets, write_tweets
 
 UTC = dt.timezone.utc
 CAL10 = PeriodCalendar()
@@ -36,40 +37,24 @@ DATA = Path(__file__).parent / "data"
 LEX = load_lexicons()
 
 
-def make_tweet(
-    tweet_id="t1",
-    user_id="u1",
-    timestamp=dt.datetime(2018, 7, 2, 10, 0, tzinfo=UTC),
-    country_code="UG",
-    text="hello",
-    source="Twitter Web Client",
-    user_created_at=dt.datetime(2017, 1, 1, tzinfo=UTC),
-    statuses_count=1000,
-    user_description="",
-    user_location="",
-):
-    return TweetRecord(
-        tweet_id=tweet_id,
-        user_id=user_id,
-        timestamp=timestamp,
-        country_code=country_code,
-        text=text,
-        source=source,
-        user_created_at=user_created_at,
-        statuses_count=statuses_count,
-        user_description=user_description,
-        user_location=user_location,
-        user_lang="en",
-        tweet_lang="en",
-    )
+def columns_of(tweets):
+    """The tweets written as a tweet CSV and read back by the program."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "tweets.csv"
+        write_tweets(path, tweets)
+        return read_tweets_csv(path)
+
+
+def table_of(records, anchor=CAL10.anchor_date):
+    return tweet_table(columns_of(records), LEX, anchor)
 
 
 def flags_of(records, cal=CAL10):
-    return user_period_flags(tweet_table(records, LEX, cal.anchor_date), cal)
+    return user_period_flags(table_of(records, cal.anchor_date), cal)
 
 
 def panels_of(records, cal=CAL10, periods=None):
-    table = tweet_table(records, LEX, cal.anchor_date)
+    table = table_of(records, cal.anchor_date)
     return twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
 
 
@@ -132,16 +117,18 @@ class TestMatchPhrases:
 
 class TestBotFilter:
     def test_hiring_description_dropped(self):
-        kept = bot_filter([make_tweet(user_description="Hiring now!")], LEX)
-        assert kept == []
+        kept = bot_filter(columns_of([Tweet(user_description="Hiring now!")]), LEX)
+        assert len(kept) == 0
 
     def test_benign_description_kept(self):
-        tweet = make_tweet(user_description="Kampala resident")
-        assert bot_filter([tweet], LEX) == [tweet]
+        tweet = Tweet(user_description="Kampala resident")
+        assert bot_filter(columns_of([tweet]), LEX).user_description.tolist() == [
+            "Kampala resident"
+        ]
 
     def test_bot_phrase_in_text_is_ignored(self):
-        tweet = make_tweet(text="lovely weather in Kampala")
-        assert bot_filter([tweet], LEX) == [tweet]
+        tweet = Tweet(text="lovely weather in Kampala")
+        assert bot_filter(columns_of([tweet]), LEX).text.tolist() == ["lovely weather in Kampala"]
 
     @given(
         st.lists(
@@ -153,20 +140,20 @@ class TestBotFilter:
     )
     def test_count_oracle(self, descriptions):
         records = [
-            make_tweet(tweet_id=f"t{i}", user_description=d)
+            Tweet(tweet_id=f"t{i}", user_description=d)
             for i, d in enumerate(descriptions)
         ]
         n_bots = sum(
             1 for d in descriptions
             if any(p in d.lower() for p in ("weather", "4:20", "job", "career", "hire", "hiring"))
         )
-        assert len(bot_filter(records, LEX)) == len(records) - n_bots
+        assert len(bot_filter(columns_of(records), LEX)) == len(records) - n_bots
 
 
 class TestUserPeriodFlags:
     def test_infrequent_long_lived_low_count(self):
         created = dt.datetime(2017, 5, 28, tzinfo=UTC)  # 400 days before the tweet
-        tweet = make_tweet(
+        tweet = Tweet(
             timestamp=dt.datetime(2018, 7, 2, 10, 0, tzinfo=UTC),
             user_created_at=created,
             statuses_count=100,
@@ -175,7 +162,7 @@ class TestUserPeriodFlags:
 
     def test_same_day_zero_statuses_is_infrequent(self):
         created = dt.datetime(2018, 7, 2, 0, 0, tzinfo=UTC)
-        tweet = make_tweet(
+        tweet = Tweet(
             timestamp=dt.datetime(2018, 7, 2, 10, 0, tzinfo=UTC),
             user_created_at=created,
             statuses_count=0,
@@ -184,7 +171,7 @@ class TestUserPeriodFlags:
 
     def test_same_day_several_statuses_not_infrequent(self):
         created = dt.datetime(2018, 7, 2, 0, 0, tzinfo=UTC)
-        tweet = make_tweet(
+        tweet = Tweet(
             timestamp=dt.datetime(2018, 7, 2, 10, 0, tzinfo=UTC),
             user_created_at=created,
             statuses_count=3,
@@ -193,13 +180,13 @@ class TestUserPeriodFlags:
 
     def test_infrequent_fixed_at_first_appearance(self):
         created = dt.datetime(2018, 1, 1, tzinfo=UTC)
-        first = make_tweet(
+        first = Tweet(
             tweet_id="a",
             timestamp=dt.datetime(2018, 6, 1, tzinfo=UTC),
             user_created_at=created,
             statuses_count=10,  # 10 / 151 days: infrequent
         )
-        later = make_tweet(
+        later = Tweet(
             tweet_id="b",
             timestamp=dt.datetime(2018, 7, 2, tzinfo=UTC),
             user_created_at=created,
@@ -208,12 +195,12 @@ class TestUserPeriodFlags:
         assert flags_of([later, first]).infrequent.tolist() == [True, True]
 
     def test_apple_source_flags_per_period(self):
-        apple = make_tweet(
+        apple = Tweet(
             tweet_id="a",
             timestamp=dt.datetime(2018, 6, 25, tzinfo=UTC),
             source="Twitter for iPhone",
         )
-        web = make_tweet(
+        web = Tweet(
             tweet_id="b",
             timestamp=dt.datetime(2018, 7, 2, tzinfo=UTC),
             source="Twitter Web Client",
@@ -224,13 +211,13 @@ class TestUserPeriodFlags:
 
     def test_new_account_in_creation_period_only(self):
         created = dt.datetime(2018, 6, 28, tzinfo=UTC)
-        early = make_tweet(
+        early = Tweet(
             tweet_id="a",
             timestamp=dt.datetime(2018, 6, 29, tzinfo=UTC),
             user_created_at=created,
             statuses_count=1,
         )
-        late = make_tweet(
+        late = Tweet(
             tweet_id="b",
             timestamp=dt.datetime(2018, 7, 3, tzinfo=UTC),
             user_created_at=created,
@@ -241,7 +228,7 @@ class TestUserPeriodFlags:
         assert flags.new_account.tolist() == [True, False]
 
     def test_student_from_location(self):
-        tweet = make_tweet(user_location="University of Nairobi")
+        tweet = Tweet(user_location="University of Nairobi")
         assert flags_of([tweet]).student.tolist() == [True]
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -250,16 +237,16 @@ class TestUserPeriodFlags:
         same = dt.datetime(2018, 6, 1, tzinfo=UTC)
         tweets = [
             # "10" sorts before "9" as a string, so it is the first tweet
-            make_tweet(tweet_id="9", timestamp=same, user_created_at=created,
+            Tweet(tweet_id="9", timestamp=same, user_created_at=created,
                        statuses_count=100000),
-            make_tweet(tweet_id="10", timestamp=same, user_created_at=created,
+            Tweet(tweet_id="10", timestamp=same, user_created_at=created,
                        statuses_count=10),
         ]
         flags = flags_of([tweets[i] for i in order])
         assert flags.infrequent.tolist() == [True]
 
     def test_calendar_must_share_the_table_anchor(self):
-        table = tweet_table([make_tweet()], LEX, CAL10.anchor_date)
+        table = table_of([Tweet()])
         with pytest.raises(ConfigurationError):
             user_period_flags(table, PeriodCalendar(anchor_date=dt.date(2018, 7, 2)))
 
@@ -267,12 +254,12 @@ class TestUserPeriodFlags:
 class TestTweetTable:
     def test_day_offsets_and_codes(self):
         records = [
-            make_tweet(tweet_id="a", user_id="u2", country_code="UG",
+            Tweet(tweet_id="a", user_id="u2", country_code="UG",
                        timestamp=dt.datetime(2018, 6, 30, 23, 59, tzinfo=UTC)),
-            make_tweet(tweet_id="b", user_id="u1", country_code="KE",
+            Tweet(tweet_id="b", user_id="u1", country_code="KE",
                        timestamp=dt.datetime(2018, 7, 11, tzinfo=UTC)),
         ]
-        table = tweet_table(records, LEX, CAL10.anchor_date)
+        table = table_of(records)
         assert table.countries == ("KE", "UG")
         assert table.country.tolist() == [1, 0]
         assert table.user.tolist() == [1, 0]
@@ -280,13 +267,13 @@ class TestTweetTable:
         assert table.created_day.tolist() == [-546, -546]
 
     def test_each_text_is_classified(self):
-        every = make_tweet(
+        every = Tweet(
             tweet_id="a", text="Protest the TAX, says our MP ", source="Twitter for iPhone",
             user_description="student", user_location="",
         )
         # "tax" counts only inside a collective text
-        plain = make_tweet(tweet_id="b", text="the tax went up", user_location="university")
-        table = tweet_table([every, plain], LEX, CAL10.anchor_date)
+        plain = Tweet(tweet_id="b", text="the tax went up", user_location="university")
+        table = table_of([every, plain])
         assert table.bits.tolist() == [
             APPLE_SOURCE | STUDENT | COLLECTIVE | POLITICAL | TAX, STUDENT,
         ]
@@ -296,17 +283,17 @@ class TestTweetTable:
         ("user_created_at", dt.datetime(1969, 12, 31, tzinfo=UTC)),
     ])
     def test_dates_outside_supported_range(self, field, value):
-        tweet = make_tweet(**{field: value})
+        tweet = Tweet(**{field: value})
         with pytest.raises(PanelRangeError, match="outside supported range"):
-            tweet_table([tweet], LEX, CAL10.anchor_date)
+            table_of([tweet])
 
 
 class TestTwitterOutcomes:
     def test_hand_counted_small_cell(self):
         records = [
-            make_tweet(tweet_id="a", user_id="u1", text="protest now"),
-            make_tweet(tweet_id="b", user_id="u1", text="nothing much"),
-            make_tweet(tweet_id="c", user_id="u2", text="hello"),
+            Tweet(tweet_id="a", user_id="u1", text="protest now"),
+            Tweet(tweet_id="b", user_id="u1", text="nothing much"),
+            Tweet(tweet_id="c", user_id="u2", text="hello"),
         ]
         panels = panels_of(records)
         assert panels["users"].value("UG", 0) == 2
@@ -316,14 +303,14 @@ class TestTwitterOutcomes:
 
     def test_tax_mention_counts_inside_collective(self):
         records = [
-            make_tweet(tweet_id="a", user_id="u1", text="ThisTaxMustGo protest"),
-            make_tweet(tweet_id="b", user_id="u2", text="rally today"),
+            Tweet(tweet_id="a", user_id="u1", text="ThisTaxMustGo protest"),
+            Tweet(tweet_id="b", user_id="u2", text="rally today"),
         ]
         panels = panels_of(records)
         assert panels["tax_mention_share"].value("UG", 0) == pytest.approx(0.5)
 
     def test_zero_denominator_flagged(self):
-        records = [make_tweet(text="no phrases here")]
+        records = [Tweet(text="no phrases here")]
         panels = panels_of(records, periods=(-1, 0))
         share = panels["tax_mention_share"]
         assert share.value("UG", 0) == 0.0
@@ -333,7 +320,7 @@ class TestTwitterOutcomes:
 
     def test_proportions_bounded(self):
         records = [
-            make_tweet(tweet_id=f"t{i}", user_id=f"u{i % 3}", text=text)
+            Tweet(tweet_id=f"t{i}", user_id=f"u{i % 3}", text=text)
             for i, text in enumerate(["protest", "rally", "vote", "hi", "boycott them"])
         ]
         panels = panels_of(records)
@@ -350,21 +337,17 @@ class TestTwitterOutcomes:
 
     def test_inverted_period_range_refused(self):
         with pytest.raises(PanelRangeError):
-            panels_of([make_tweet()], periods=(1, 0))
+            panels_of([Tweet()], periods=(1, 0))
 
 
 def reference_panels(records, cal):
     """Every outcome cell counted record by record, without the tweet table."""
-    first = {}
-    for r in records:
-        seen = first.get(r.user_id)
-        if seen is None or (r.timestamp, r.tweet_id) < (seen.timestamp, seen.tweet_id):
-            first[r.user_id] = r
+    first = first_tweets(records)
     groups = {}
     counts = {name: Counter() for name in OUTCOME_NAMES}
     tax = Counter()
     for r in records:
-        cell = (r.country_code, assign_period(r.timestamp, cal))
+        cell = (r.country_code, period(r.timestamp, cal))
         groups.setdefault((r.user_id, cell), []).append(r)
         collective = match_phrases(r.text, LEX["collective"])
         counts["tweets"][cell] += 1
@@ -375,11 +358,9 @@ def reference_panels(records, cal):
         f = first[user]
         counts["users"][cell] += 1
         counts["new_accounts"][cell] += (
-            min(assign_period(t.user_created_at, cal) for t in tweets) == cell[1]
+            min(period(t.user_created_at, cal) for t in tweets) == cell[1]
         )
-        counts["infrequent_users"][cell] += (
-            f.statuses_count / max(1, (f.timestamp - f.user_created_at).days) < 1
-        )
+        counts["infrequent_users"][cell] += infrequent(f)
         counts["not_apple_users"][cell] += not any(
             match_phrases(t.source, LEX["apple_source"]) for t in tweets
         )
@@ -408,22 +389,31 @@ PARITY_SPEC = CorpusSpec(
 )
 
 
+def reference_bot_filter(records):
+    return [r for r in records if not match_phrases(r.user_description, LEX["bot"])]
+
+
 @pytest.fixture(scope="module")
-def parity_records(tmp_path_factory):
+def parity_corpus(tmp_path_factory):
+    """The parity corpus's bot-filtered tweets: program columns and per-row records."""
     path = tmp_path_factory.mktemp("parity")
     write_corpus(path, PARITY_SPEC)
-    return bot_filter(read_tweets_csv(path / "tweets.csv"), LEX)
+    return (
+        bot_filter(read_tweets_csv(path / "tweets.csv"), LEX),
+        reference_bot_filter(read_tweets(path / "tweets.csv")),
+    )
 
 
 @pytest.mark.parametrize("level", [1, 7, 10, 28])
 @pytest.mark.parametrize("window", ["data", "clipped"])
-def test_panels_match_per_record_counts(parity_records, level, window):
+def test_panels_match_per_record_counts(parity_corpus, level, window):
+    tweets, parity_records = parity_corpus
     cal = PeriodCalendar(anchor_date=PARITY_SPEC.anchor, period_length_days=level)
-    table = tweet_table(parity_records, LEX, cal.anchor_date)
+    table = tweet_table(tweets, LEX, cal.anchor_date)
     periods = None if window == "data" else (-30 // level, 15 // level)
     panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
     if periods is None:
-        ts = [assign_period(r.timestamp, cal) for r in parity_records]
+        ts = [period(r.timestamp, cal) for r in parity_records]
         periods = (min(ts), max(ts))
     expected = reference_panels(parity_records, cal)
     countries = tuple(sorted({r.country_code for r in parity_records}))
@@ -467,7 +457,9 @@ FIXTURE_EXPECTED = {
 
 
 def fixture_panels():
-    return panels_of(bot_filter(read_tweets_csv(DATA / "tweets_fixture.csv"), LEX))
+    table = tweet_table(bot_filter(read_tweets_csv(DATA / "tweets_fixture.csv"), LEX), LEX,
+                        CAL10.anchor_date)
+    return twitter_outcomes(user_period_flags(table, CAL10), table)
 
 
 def test_fixture_golden_table():
@@ -481,7 +473,7 @@ def test_fixture_golden_table():
 def test_classification_is_order_independent():
     records = bot_filter(read_tweets_csv(DATA / "tweets_fixture.csv"), LEX)
     forward = tweet_table(records, LEX, CAL10.anchor_date)
-    backward = tweet_table(list(reversed(records)), LEX, CAL10.anchor_date)
+    backward = tweet_table(records.take(np.arange(len(records))[::-1]), LEX, CAL10.anchor_date)
     flags_forward = user_period_flags(forward, CAL10)
     flags_reversed = user_period_flags(backward, CAL10)
     for column in ("user", "country", "period", "new_account", "infrequent",
@@ -497,14 +489,14 @@ def test_fixture_drops_exactly_the_bots():
     records = read_tweets_csv(DATA / "tweets_fixture.csv")
     kept = bot_filter(records, LEX)
     assert len(records) == 20
-    assert {r.user_id for r in records} - {r.user_id for r in kept} == {"u03", "u07", "u11"}
+    assert set(records.user_id) - set(kept.user_id) == {"u03", "u07", "u11"}
 
 
 class TestTweetCsvSchema:
     def test_fixture_parses(self):
         records = read_tweets_csv(DATA / "tweets_fixture.csv")
         assert len(records) == 20
-        assert records[11].text == "Nice weather today, friends"
+        assert records.text[11] == "Nice weather today, friends"
 
     def test_missing_statuses_rejected_with_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -536,8 +528,103 @@ class TestTweetCsvSchema:
         with pytest.raises(SchemaError, match="row 2"):
             read_tweets_csv(path)
 
+    def test_field_past_the_csv_size_limit_reports_its_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = DATA.joinpath("tweets_fixture.csv").read_text().splitlines()[0]
+        path.write_text(
+            header + "\n"
+            "t1,u1,2018-07-02T10:00:00Z,UG,hi,web,2017-01-01T00:00:00Z,5,d,l,en,en\n"
+            't2,u1,2018-07-02T10:00:00Z,UG,"' + "x\n" * 70_000 + '",web,2017-01-01T00:00:00Z,5,d,l,en,en\n'
+        )
+        with pytest.raises(SchemaError, match=r"^row 3: field larger than field limit \(131072\)$"):
+            read_tweets_csv(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(SchemaError, match="row 1"):
             read_tweets_csv(path)
+
+
+
+CAL1 = PeriodCalendar(period_length_days=1)
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=UTC)
+# tweets at a few instants around the anchor, so (timestamp, user) ties are common
+_INSTANTS = st.sampled_from([
+    dt.datetime(2018, 6, 30, 23, 30), dt.datetime(2018, 7, 1, 0, 30),
+    dt.datetime(2018, 7, 1, 0, 30, 0, 7),
+])
+_AGES = st.builds(lambda days, seconds: dt.timedelta(days=days, seconds=seconds),
+                  st.integers(0, 400), st.sampled_from([0, 1, 3600]))
+# naive, Z, or a fixed UTC offset in hours
+_ZONES = st.sampled_from([None, "Z", 0, 3, -5.5, 14])
+_PIECES = ["protest", "Tax", " mp ", "İos", "hi", ",", '"', "\n", "\r\n", "\x00", " "]
+
+
+def iso(instant: dt.datetime, zone) -> str:
+    """The naive UTC `instant` written naive, with Z, or at an offset of `zone` hours."""
+    if zone is None or zone == "Z":
+        return instant.isoformat() + (zone or "")
+    offset = dt.timezone(dt.timedelta(hours=zone))
+    return instant.replace(tzinfo=UTC).astimezone(offset).isoformat()
+
+
+@st.composite
+def tweet_rows(draw):
+    """One valid tweet row of raw strings, the language columns left out."""
+    timestamp = draw(_INSTANTS)
+    return (
+        draw(st.sampled_from(["9", "10", "a", "a\x00"])),
+        draw(st.sampled_from(["u1", "u2", "u3"])),
+        iso(timestamp, draw(_ZONES)),
+        draw(st.sampled_from(["UG", "ke", "Gh"])),
+        "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=5))),
+        draw(st.sampled_from(["Twitter for iPhone", "web", "iPad app"])),
+        iso(timestamp - draw(_AGES), draw(_ZONES)),
+        str(draw(st.one_of(st.integers(0, 500), st.just(10**20)))),
+        draw(st.sampled_from(["", "Hiring now", "student at MUK", "runner"])),
+        draw(st.sampled_from(["", "University", "Kampala\nnorth"])),
+    )
+
+
+def reference_bits(r) -> int:
+    collective = match_phrases(r.text, LEX["collective"])
+    return (
+        APPLE_SOURCE * match_phrases(r.source, LEX["apple_source"])
+        | STUDENT * (match_phrases(r.user_description, LEX["student"])
+                     or match_phrases(r.user_location, LEX["student"]))
+        | COLLECTIVE * collective
+        | TAX * (collective and "tax" in ascii_lower(r.text))
+        | POLITICAL * match_phrases(r.text, LEX["political"])
+    )
+
+
+@given(st.lists(tweet_rows(), max_size=25))
+@settings(max_examples=150)
+def test_columnar_reader_and_table_match_per_row_reference(rows):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "tweets.csv"
+        write_tweets(path, rows)
+        columns = read_tweets_csv(path)
+        records = read_tweets(path)
+    assert len(columns) == len(records) == len(rows)
+    for name in ("tweet_id", "user_id", "country_code", "text", "source",
+                 "user_description", "user_location"):
+        assert getattr(columns, name).tolist() == [getattr(r, name) for r in records], name
+    for name in ("timestamp", "user_created_at"):
+        instants = [_EPOCH + dt.timedelta(microseconds=int(us)) for us in getattr(columns, name)]
+        assert instants == [getattr(r, name) for r in records], name
+    assert columns.statuses_count.tolist() == [min(r.statuses_count, 2**63 - 1) for r in records]
+
+    kept = reference_bot_filter(records)
+    table = tweet_table(bot_filter(columns, LEX), LEX, CAL10.anchor_date)
+    users = sorted({r.user_id for r in kept})
+    countries = sorted({r.country_code for r in kept})
+    first = first_tweets(kept)
+    assert table.countries == tuple(countries)
+    assert table.user.tolist() == [users.index(r.user_id) for r in kept]
+    assert table.country.tolist() == [countries.index(r.country_code) for r in kept]
+    assert table.day.tolist() == [period(r.timestamp, CAL1) for r in kept]
+    assert table.created_day.tolist() == [period(r.user_created_at, CAL1) for r in kept]
+    assert table.bits.tolist() == [reference_bits(r) for r in kept]
+    assert table.infrequent.tolist() == [infrequent(first[u]) for u in users]

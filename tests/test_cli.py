@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from synthpanel import classify, cli, inference, synth
+from synthpanel.classify import DEFAULT_LEXICON_DIR
 from synthpanel.cli import main
 from synthpanel.demo import CorpusSpec, write_corpus
 
@@ -276,6 +277,74 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "outside supported range" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["tweets", "events", "config", "lexicons"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, monkeypatch, capsys, kind):
+        tweets = (DATA / "tweets_fixture.csv").read_bytes()
+        events = (DATA / "events_fixture.csv").read_bytes()
+        config = b"t_min = -2\n"
+        shutil.copytree(DEFAULT_LEXICON_DIR, tmp_path / "lexicons")
+        bad = {
+            "tweets": tmp_path / "tweets.csv",
+            "events": tmp_path / "events.csv",
+            "config": tmp_path / "run.toml",
+            "lexicons": tmp_path / "lexicons" / "student.txt",
+        }[kind]
+        (tmp_path / "tweets.csv").write_bytes(tweets)
+        (tmp_path / "events.csv").write_bytes(events)
+        (tmp_path / "run.toml").write_bytes(config)
+        bad.write_bytes(bad.read_bytes() + b"caf\xe9\n")
+        code = run_in(tmp_path, monkeypatch, [
+            "build-panel", "--tweets", "tweets.csv", "--events", "events.csv",
+            "--config", "run.toml", "--lexicons", "lexicons", "--out", "out",
+        ])
+        assert code == 2
+        name = {"config": "run.toml", "lexicons": str(Path("lexicons") / "student.txt")}.get(
+            kind, f"{kind}.csv")
+        assert capsys.readouterr().err == f"data error: {name} is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("kind", ["tweets", "events"])
+    def test_oversized_field_is_schema_error(self, tmp_path, monkeypatch, capsys, kind):
+        lines = (DATA / f"{kind}_fixture.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[-1] = "x" * 131_073
+        (tmp_path / "in.csv").write_text("\n".join([lines[0], lines[1], ",".join(cells)]) + "\n")
+        code = run_in(tmp_path, monkeypatch, ["build-panel", f"--{kind}", "in.csv", "--out", "out"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: row 3: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize("timestamp, created, day", [
+        ("0001-01-01T00:30:00+01:00", "0001-01-01T00:00:00+01:00", "-719163 days from 1970-01-01"),
+        ("9999-12-31T23:30:00-01:00", "2017-01-01T00:00:00Z", "2932897 days from 1970-01-01"),
+        ("9999-12-31T22:30:00-01:00", "2017-01-01T00:00:00Z", "9999-12-31"),
+    ])
+    def test_timestamp_past_datetime_range_is_range_error(
+        self, tmp_path, monkeypatch, capsys, timestamp, created, day
+    ):
+        header = (DATA / "tweets_fixture.csv").read_text().splitlines()[0]
+        (tmp_path / "tweets.csv").write_text(
+            f"{header}\nt1,u1,{timestamp},UG,hi,web,{created},5,,,en,en\n"
+        )
+        code = run_in(tmp_path, monkeypatch, ["build-panel", "--tweets", "tweets.csv", "--out", "out"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: timestamp {day} outside supported range 1970-2100\n"
+        )
+
+    @pytest.mark.parametrize("cutoff", ["0", "-10"])
+    def test_cutoff_without_held_out_days_is_configuration_error(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, cutoff
+    ):
+        code = run_in(tmp_path, monkeypatch, [
+            "falsify", "--tweets", str(corpus_dir / "tweets.csv"), "--cutoff-days", cutoff,
+            "--out", "out",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: cutoff_days must be positive, got {cutoff}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_path(self, tmp_path, monkeypatch):
         code = run_in(

@@ -1,60 +1,97 @@
 import datetime as dt
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Event, Tweet, write_events, write_tweets
+from synthpanel.classify import load_lexicons, read_tweets_csv, tweet_table
 from synthpanel.errors import (
-    AggregationError,
     DataError,
     InsufficientDonorsError,
     PanelRangeError,
 )
+from synthpanel.events import event_panel, read_events_csv
 from synthpanel.panel import (
     PanelSeries,
     PeriodCalendar,
     SampleRestriction,
-    assign_period,
-    build_panel,
     normalize_at_reference,
     restrict_sample,
 )
 
 UTC = dt.timezone.utc
 CAL10 = PeriodCalendar()
+LEX = load_lexicons()
 
 
 def ts(*args):
     return dt.datetime(*args, tzinfo=UTC)
 
 
+def period_of(timestamp: dt.datetime, cal: PeriodCalendar) -> int:
+    """The period of a tweet at `timestamp`, through the tweet reader and table."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "tweets.csv"
+        write_tweets(path, [Tweet(timestamp=timestamp, user_created_at=timestamp)])
+        table = tweet_table(read_tweets_csv(path), LEX, cal.anchor_date)
+    return int(table.day[0]) // cal.period_length_days
+
+
+def event_columns(cells, period_days: int = 1):
+    """Events read back from a CSV: `count` per dataset on the first day of
+    each (country, period, count) cell, periods counted from 2018-07-01."""
+    events = []
+    for country, t, count in cells:
+        day = CAL10.anchor_date + dt.timedelta(days=t * period_days)
+        events += [Event("ACLED", country, day, "Riots/protests"),
+                   Event("ICEWS", country, day, "Protest")] * count
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "events.csv"
+        write_events(path, events)
+        return read_events_csv(path)
+
+
+def count_panel(cells, cal: PeriodCalendar, periods=None) -> PanelSeries:
+    """The event panel of (country, period, count) cells."""
+    return event_panel(event_columns(cells, cal.period_length_days), cal, periods=periods)
+
+
+def panel(values, countries=("UG",), periods=(0,)) -> PanelSeries:
+    return PanelSeries("y", countries, periods, np.asarray(values, dtype=float))
+
+
 class TestAssignPeriod:
+    """A timestamp's period: its UTC calendar day's offset from the anchor, floored."""
+
     def test_anchor_day_is_period_zero(self):
-        assert assign_period(ts(2018, 7, 1, 0, 0), CAL10) == 0
+        assert period_of(ts(2018, 7, 1, 0, 0), CAL10) == 0
 
     def test_minute_before_anchor_is_minus_one(self):
-        assert assign_period(ts(2018, 6, 30, 23, 59), CAL10) == -1
+        assert period_of(ts(2018, 6, 30, 23, 59), CAL10) == -1
 
     def test_seven_day_hand_count(self):
         # days 0..24 since the anchor: floor(24 / 7) = 3
         cal = PeriodCalendar(period_length_days=7)
-        assert assign_period(ts(2018, 7, 25, 12, 0), cal) == 3
+        assert period_of(ts(2018, 7, 25, 12, 0), cal) == 3
 
     def test_out_of_range_timestamp(self):
         with pytest.raises(PanelRangeError):
-            assign_period(ts(1969, 12, 31), CAL10)
+            period_of(ts(1969, 12, 31), CAL10)
         with pytest.raises(PanelRangeError):
-            assign_period(ts(2101, 1, 1), CAL10)
+            period_of(ts(2101, 1, 1), CAL10)
 
     def test_naive_timestamp_treated_as_utc(self):
-        assert assign_period(dt.datetime(2018, 7, 1, 5, 0), CAL10) == 0
+        assert period_of(dt.datetime(2018, 7, 1, 5, 0), CAL10) == 0
 
     def test_nonutc_timezone_converted(self):
         # 02:00 UTC+3 on the anchor day is 23:00 UTC the day before
         eat = dt.timezone(dt.timedelta(hours=3))
-        assert assign_period(dt.datetime(2018, 7, 1, 2, 0, tzinfo=eat), CAL10) == -1
+        assert period_of(dt.datetime(2018, 7, 1, 2, 0, tzinfo=eat), CAL10) == -1
 
     @given(
         day=st.integers(min_value=-3000, max_value=3000),
@@ -66,43 +103,41 @@ class TestAssignPeriod:
         cal = PeriodCalendar(period_length_days=length)
         base = ts(2018, 7, 1, hour) + dt.timedelta(days=day)
         shifted = base + dt.timedelta(days=k * length)
-        assert assign_period(shifted, cal) == assign_period(base, cal) + k
+        assert period_of(shifted, cal) == period_of(base, cal) + k
 
 
 class TestBuildPanel:
+    """Count panels: dense cells over a contiguous range, and their log1p."""
+
     def test_log1p_of_zero(self):
-        panel = build_panel([("UG", -1, 0)], CAL10, transform="log1p")
-        assert panel.value("UG", -1) == 0.0
+        assert panel([[0.0]]).log1p().value("UG", 0) == 0.0
 
     def test_log1p_of_nine(self):
-        panel = build_panel([("UG", 0, 9)], CAL10, transform="log1p")
-        assert panel.value("UG", 0) == pytest.approx(math.log(10), abs=1e-15)
-
-    def test_duplicate_cell_rejected(self):
-        with pytest.raises(AggregationError):
-            build_panel([("UG", 0, 1), ("UG", 0, 2)], CAL10)
+        assert panel([[9.0]]).log1p().value("UG", 0) == pytest.approx(math.log(10), abs=1e-15)
 
     def test_negative_count_rejected(self):
         with pytest.raises(DataError):
-            build_panel([("UG", 0, -1)], CAL10)
+            panel([[-1.0]]).log1p()
 
     def test_cells_without_records_are_zero(self):
-        panel = build_panel([("UG", -2, 5), ("KE", 1, 3)], CAL10)
-        assert panel.periods == (-2, -1, 0, 1)
-        assert panel.value("UG", 0) == 0.0
-        assert panel.value("KE", -1) == 0.0
+        built = count_panel([("UG", -2, 5), ("KE", 1, 3)], CAL10)
+        assert built.periods == (-2, -1, 0, 1)
+        assert built.value("UG", -2) == 5.0
+        assert built.value("UG", 0) == 0.0
+        assert built.value("KE", -1) == 0.0
 
     def test_forced_range_drops_outside_records(self):
-        panel = build_panel([("UG", -5, 9), ("UG", 0, 4)], CAL10, periods=(-1, 1))
-        assert panel.periods == (-1, 0, 1)
-        assert panel.value("UG", 0) == 4.0
+        built = count_panel([("UG", -5, 9), ("UG", 0, 4)], CAL10, periods=(-1, 1))
+        assert built.periods == (-1, 0, 1)
+        assert built.value("UG", 0) == 4.0
+        assert built.value("UG", -1) == 0.0
 
     @given(
         records=st.lists(
             st.tuples(
                 st.sampled_from(["UG", "KE", "TZ"]),
                 st.integers(min_value=-5, max_value=5),
-                st.integers(min_value=0, max_value=50),
+                st.integers(min_value=1, max_value=5),
             ),
             min_size=1,
             max_size=20,
@@ -111,10 +146,10 @@ class TestBuildPanel:
         data=st.randoms(),
     )
     def test_order_invariance(self, records, data):
-        a = build_panel(list(records), CAL10)
+        a = count_panel(list(records), CAL10)
         shuffled = list(records)
         data.shuffle(shuffled)
-        b = build_panel(shuffled, CAL10)
+        b = count_panel(shuffled, CAL10)
         assert a.countries == b.countries
         assert a.periods == b.periods
         assert np.array_equal(a.values, b.values)
@@ -124,8 +159,8 @@ class TestBuildPanel:
     )
     def test_log1p_monotone(self, pair):
         lo, hi = sorted(pair)
-        panel = build_panel([("UG", 0, lo), ("KE", 0, hi)], CAL10, transform="log1p")
-        assert panel.value("UG", 0) <= panel.value("KE", 0)
+        logged = panel([[lo], [hi]], countries=("UG", "KE")).log1p()
+        assert logged.value("UG", 0) <= logged.value("KE", 0)
 
 
 def test_one_day_counts_resum_to_ten_day():
@@ -133,21 +168,13 @@ def test_one_day_counts_resum_to_ten_day():
     equal the ten-day pipeline output."""
     rng = np.random.default_rng(3)
     cal1 = PeriodCalendar(period_length_days=1)
-    records = []
-    for _ in range(300):
-        day = ts(2018, 7, 1) + dt.timedelta(days=int(rng.integers(-40, 40)))
-        records.append((str(rng.choice(["UG", "KE"])), day, int(rng.integers(0, 7))))
     daily: dict = {}
-    ten_day: dict = {}
-    for country, day, count in records:
-        t1 = assign_period(day, cal1)
-        daily[(country, t1)] = daily.get((country, t1), 0) + count
-        t10 = math.floor(t1 / 10)
-        ten_day[(country, t10)] = ten_day.get((country, t10), 0) + count
-    panel1 = build_panel([(c, t, v) for (c, t), v in daily.items()], cal1)
-    panel10 = build_panel(
-        [(c, t, v) for (c, t), v in ten_day.items()], PeriodCalendar(period_length_days=10)
-    )
+    for _ in range(300):
+        cell = (str(rng.choice(["UG", "KE"])), int(rng.integers(-40, 40)))
+        daily[cell] = daily.get(cell, 0) + int(rng.integers(0, 7))
+    events = event_columns([(c, t, v) for (c, t), v in daily.items()])
+    panel1 = event_panel(events, cal1)
+    panel10 = event_panel(events, PeriodCalendar(period_length_days=10))
     for country in panel10.countries:
         for t10 in panel10.periods:
             block = [
@@ -253,6 +280,6 @@ class TestPanelSeriesValidation:
 
     def test_window_and_select(self):
         panel = PanelSeries("y", ("UG", "KE"), (-2, -1, 0), np.arange(6.0).reshape(2, 3))
-        sub = panel.window(-1, 0).select_countries(["KE"])
+        sub = panel.select_countries(["KE"])
         assert sub.countries == ("KE",)
-        assert list(sub.values[0]) == [4.0, 5.0]
+        assert list(sub.values[0]) == [3.0, 4.0, 5.0]
