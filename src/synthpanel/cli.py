@@ -30,7 +30,7 @@ from .classify import (
     twitter_outcomes,
     user_period_flags,
 )
-from .diffusion import PopulationParams, ResponseFunction, equilibria, phi, platform_probability
+from .diffusion import PopulationParams, ResponseFunction, equilibria
 from .errors import (
     ConfigurationError,
     DataError,
@@ -40,13 +40,13 @@ from .errors import (
 )
 from .events import EventColumns, event_panel, read_events_csv
 from .inference import (
+    AveragedEffect,
     EstimatorConfig,
-    PlaceboDistribution,
+    OutcomeEstimate,
     aggregation_suite,
-    averaged_post_effect,
-    estimate_with_placebos,
+    estimate_outcome,
     falsification_run,
-    pointwise_band,
+    prepare_outcome,
 )
 from .panel import (
     EPOCH,
@@ -54,11 +54,9 @@ from .panel import (
     PeriodCalendar,
     SampleRestriction,
     normalize_at_reference,
-    restrict_sample,
     utf8_lines,
 )
 from .svgplot import LineChart
-from .synth import SynthFit
 
 ALL_OUTCOMES = OUTCOME_NAMES + ("events",)
 
@@ -67,9 +65,12 @@ ALL_OUTCOMES = OUTCOME_NAMES + ("events",)
 # configuration
 
 
-def _parse_flat_config(path: Path) -> dict:
-    """Flat key = value file (TOML-compatible subset); '#' starts a comment line."""
-    values: dict = {}
+def _parse_flat_config(path: Path) -> dict[str, str]:
+    """Flat key = value file (TOML-compatible subset); '#' starts a comment line.
+
+    A value stays text as written, less enclosing quotes, for its flag's type to read.
+    """
+    values: dict[str, str] = {}
     for line_no, line in enumerate(utf8_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -80,18 +81,8 @@ def _parse_flat_config(path: Path) -> dict:
         key = key.strip().replace("-", "_")
         raw = raw.strip()
         if raw.startswith(("\"", "'")) and raw.endswith(raw[0]) and len(raw) >= 2:
-            values[key] = raw[1:-1]
-            continue
-        if raw.lower() in ("true", "false"):
-            values[key] = raw.lower() == "true"
-            continue
-        try:
-            values[key] = int(raw)
-        except ValueError:
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                values[key] = raw
+            raw = raw[1:-1]
+        values[key] = raw
     return values
 
 
@@ -170,15 +161,15 @@ class RunInputs:
     An instance lives as long as one `main()` call, so each run reads its
     files afresh. The tweet CSV is parsed, bot-filtered and classified
     into one tweet table; its flags are built once for the run's calendar
-    and its outcome panels once per window. The treated fit and placebo
-    distribution of an outcome are computed once per window, for both
-    `estimate` and `placebo`. Callers must not mutate what they get back.
+    and its outcome panels once per window. An outcome's estimate is
+    computed once per window, for both `estimate` and `placebo`. Callers
+    must not mutate what they get back.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self._twitter_panels: dict[tuple[int, int], dict[str, PanelSeries]] = {}
-        self._estimates: dict[tuple[str, tuple[int, ...]], tuple] = {}
+        self._estimates: dict[tuple[str, tuple[int, ...]], OutcomeEstimate] = {}
 
     @cached_property
     def calendar(self) -> PeriodCalendar:
@@ -219,13 +210,24 @@ class RunInputs:
         events, span = self.events
         return event_panel(events, self.calendar, periods=_window(self.args, span, pre_factor))
 
-    def estimate(self, outcome: str) -> tuple[PanelSeries, SynthFit, PlaceboDistribution]:
-        """The outcome's estimation panel, treated fit and placebo distribution."""
-        panel = _outcome_panel(self.args, self, outcome)
+    def prepared(self, outcome: str, pre_factor: int = 1) -> tuple[PanelSeries, EstimatorConfig]:
+        """The outcome's estimation panel and period split, from `prepare_outcome`."""
+        if outcome == "events":
+            panel, users = self.event_panel(pre_factor), None
+        else:
+            panels = self.twitter_panels(pre_factor)
+            panel, users = panels[outcome], panels["users"]
+        return prepare_outcome(
+            panel, self.args.treated, _transform(self.args, outcome), users=users,
+            restriction=SampleRestriction(parameter=self.args.restriction),
+        )
+
+    def estimate(self, outcome: str) -> OutcomeEstimate:
+        """The outcome's estimate over the run's window."""
+        panel, cfg = self.prepared(outcome)
         key = (outcome, panel.periods)
         if key not in self._estimates:
-            fit, dist = estimate_with_placebos(panel, self.args.treated, _estimator_config(panel))
-            self._estimates[key] = (panel, fit, dist)
+            self._estimates[key] = estimate_outcome(panel, self.args.treated, cfg)
         return self._estimates[key]
 
 
@@ -235,44 +237,25 @@ def _transform(args, outcome: str) -> str:
     return args.transform
 
 
-def _outcome_panel(args, inputs: RunInputs, outcome: str, pre_factor: int = 1) -> PanelSeries:
-    """Restricted, transformed panel for one outcome, ready to estimate."""
-    if outcome == "events":
-        panel = inputs.event_panel(pre_factor)
-    else:
-        panels = inputs.twitter_panels(pre_factor)
-        if outcome not in panels:
-            raise ConfigurationError(f"unknown outcome {outcome!r}; choose from {ALL_OUTCOMES}")
-        users = panels["users"]
-        restricted = restrict_sample(users, SampleRestriction(parameter=args.restriction))
-        panel = panels[outcome].select_countries(restricted.countries)
-    if args.treated not in panel.countries:
-        raise DataError(f"treated country {args.treated!r} not in the restricted panel")
-    if _transform(args, outcome) == "log1p":
-        panel = panel.log1p()
-    return panel
-
-
-def _estimator_config(panel: PanelSeries) -> EstimatorConfig:
-    pre = tuple(t for t in panel.periods if t < 0)
-    post = tuple(t for t in panel.periods if t >= 0)
-    if not pre:
-        raise PanelRangeError("panel has no pre-intervention periods")
-    if not post:
-        raise PanelRangeError("panel has no post-intervention periods")
-    return EstimatorConfig(fit_pre_periods=pre, all_pre_periods=pre, post_periods=post)
-
-
-def _effects_rows(outcome, periods, effects, bands, dist) -> list[list]:
+def _write_effects(stem: Path, prov: str, outcome: str, est: OutcomeEstimate, title: str) -> None:
+    """`stem`.csv, the estimate's effects and bands per period, and `stem`.svg, their chart."""
+    periods, effects, bands, dist = list(est.panel.periods), est.fit.effects, est.bands, est.dist
     excluded = ";".join(d for d, _ in dist.excluded)
-    return [
-        [outcome, t, _fmt(effects[i]), _fmt(bands[0, i]), _fmt(bands[1, i]),
-         dist.n_placebos, excluded]
-        for i, t in enumerate(periods)
-    ]
+    _write_csv(
+        stem.with_suffix(".csv"), prov,
+        ["outcome", "period", "effect", "band_lo", "band_hi", "n_placebos", "excluded_donors"],
+        [[outcome, t, _fmt(effects[i]), _fmt(bands[0, i]), _fmt(bands[1, i]), dist.n_placebos, excluded]
+         for i, t in enumerate(periods)],
+    )
+    chart = LineChart(title=title, x_label="period", y_label="effect", vline=-0.5, hline=0.0)
+    chart.add_band(periods, bands[0], bands[1])
+    chart.add_series("effect", periods, effects)
+    _write_svg(stem.with_suffix(".svg"), chart)
 
 
-EFFECTS_HEADER = ["outcome", "period", "effect", "band_lo", "band_hi", "n_placebos", "excluded_donors"]
+def _averaged_text(averaged: AveragedEffect) -> str:
+    lo, hi = averaged.band
+    return f"averaged post effect {averaged.value:+.4f} band [{lo:+.4f}, {hi:+.4f}]"
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +285,9 @@ def cmd_estimate(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "estimate"
     prov = _provenance(args)
     for outcome in args.outcomes:
-        panel, fit, dist = inputs.estimate(outcome)
-        bands = pointwise_band(dist)
-        averaged = averaged_post_effect(fit, dist)
-
-        _write_csv(
-            out / f"{outcome}_effects.csv", prov, EFFECTS_HEADER,
-            _effects_rows(outcome, panel.periods, fit.effects, bands, dist),
-        )
+        est = inputs.estimate(outcome)
+        panel, fit, dist, averaged = est.panel, est.fit, est.dist, est.averaged
+        _write_effects(out / f"{outcome}_effects", prov, outcome, est, f"Treatment effect: {outcome}")
         donors = [d for d in panel.countries if d != args.treated]
         order = np.argsort(-fit.weights.w, kind="stable")
         _write_csv(
@@ -324,14 +302,6 @@ def cmd_estimate(args, inputs: RunInputs) -> None:
         )
 
         periods = list(panel.periods)
-        effect_chart = LineChart(
-            title=f"Treatment effect: {outcome}", x_label="period", y_label="effect",
-            vline=-0.5, hline=0.0,
-        )
-        effect_chart.add_band(periods, bands[0], bands[1])
-        effect_chart.add_series("effect", periods, fit.effects)
-        _write_svg(out / f"{outcome}_effects.svg", effect_chart)
-
         treated_series = panel.series(args.treated)
         synthetic = treated_series - fit.effects
         donor_avg = np.mean([panel.series(d) for d in donors], axis=0)
@@ -351,17 +321,14 @@ def cmd_estimate(args, inputs: RunInputs) -> None:
                 normalize_at_reference(treated_series, panel.series(donors[j]), periods),
             )
         _write_svg(out / f"{outcome}_paths.svg", paths_chart)
-        print(
-            f"{outcome}: averaged post effect {averaged.value:+.4f} "
-            f"band [{averaged.band[0]:+.4f}, {averaged.band[1]:+.4f}]"
-        )
+        print(f"{outcome}: {_averaged_text(averaged)}")
 
 
 def cmd_placebo(args, inputs: RunInputs) -> None:
     out = Path(args.out) / "placebo"
     prov = _provenance(args)
     for outcome in args.outcomes:
-        _, _, dist = inputs.estimate(outcome)
+        dist = inputs.estimate(outcome).dist
         rows = []
         for di, donor in enumerate(dist.donors):
             for pi, t in enumerate(dist.periods):
@@ -386,7 +353,7 @@ def cmd_falsify(args, inputs: RunInputs) -> None:
     rows = []
     for outcome in args.outcomes:
         # need the fitting window plus the held-out window of pre data
-        panel = _outcome_panel(args, inputs, outcome, pre_factor=2)
+        panel, _ = inputs.prepared(outcome, pre_factor=2)
         averaged = falsification_run(
             panel, args.treated, args.period_days, cutoff_days=args.cutoff_days
         )
@@ -440,23 +407,10 @@ def cmd_aggregate(args, inputs: RunInputs) -> None:
         window_days=(pre_days, post_days),
     )
     for level in sorted(results):
-        res = results[level]
-        _write_csv(
-            out / f"level_{level:02d}_effects.csv", prov, EFFECTS_HEADER,
-            _effects_rows(outcome, res.panel.periods, res.fit.effects, res.bands, res.dist),
-        )
-        chart = LineChart(
-            title=f"{outcome} at {level}-day aggregation",
-            x_label="period", y_label="effect", vline=-0.5, hline=0.0,
-        )
-        periods = list(res.panel.periods)
-        chart.add_band(periods, res.bands[0], res.bands[1])
-        chart.add_series("effect", periods, res.fit.effects)
-        _write_svg(out / f"level_{level:02d}_effects.svg", chart)
-        print(
-            f"level {level}d: averaged post effect {res.averaged.value:+.4f} "
-            f"band [{res.averaged.band[0]:+.4f}, {res.averaged.band[1]:+.4f}]"
-        )
+        est = results[level]
+        _write_effects(out / f"level_{level:02d}_effects", prov, outcome, est,
+                       f"{outcome} at {level}-day aggregation")
+        print(f"level {level}d: {_averaged_text(est.averaged)}")
 
 
 def cmd_diffusion(args, inputs: RunInputs) -> None:
@@ -471,20 +425,17 @@ def cmd_diffusion(args, inputs: RunInputs) -> None:
     else:
         response = ResponseFunction.logistic(args.scale, args.steepness, args.midpoint)
     qs = np.linspace(args.q_min, args.q_max, args.q_steps)
-    grid = np.linspace(0.0, 1.0, args.grid_n)
     curve_rows, eq_rows = [], []
     chart = LineChart(title="Participation best-response map", x_label="x", y_label="phi(x)")
     chart.add_series("diagonal", [0.0, 1.0], [0.0, 1.0], color="#999999")
     for q in qs:
-        feasible = np.asarray(platform_probability(grid, float(q), response, params)) > 1e-12
-        sub = grid[feasible]
-        values = np.asarray(phi(sub, float(q), response, params))
-        for x, val in zip(sub, values):
-            curve_rows.append([_fmt(q), _fmt(x), _fmt(val)])
+        # phi over the grid where the platform is not empty
         eq = equilibria(float(q), response, params, grid_n=args.grid_n)
+        for x, val in zip(eq.grid_x, eq.grid_phi):
+            curve_rows.append([_fmt(q), _fmt(x), _fmt(val)])
         for x_star, label in zip(eq.fixed_points, eq.labels):
             eq_rows.append([_fmt(q), _fmt(x_star), label])
-        chart.add_series(f"q={q:.3g}", list(sub), list(values))
+        chart.add_series(f"q={q:.3g}", list(eq.grid_x), list(eq.grid_phi))
     _write_csv(out / "phi_curves.csv", prov, ["q", "x", "phi"], curve_rows)
     _write_csv(out / "equilibria.csv", prov, ["q", "x_star", "stability"], eq_rows)
     _write_svg(out / "phi.svg", chart)

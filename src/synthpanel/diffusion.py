@@ -48,6 +48,9 @@ class PopulationParams:
     rho: float
 
     def __post_init__(self):
+        for name in ("mu_c", "mu_w", "sigma_c", "sigma_w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_c <= 0 or self.sigma_w <= 0:
             raise ConfigurationError("standard deviations must be positive")
         if not -1.0 <= self.rho <= 1.0:

@@ -27,7 +27,6 @@ class EstimatorConfig:
     all_pre_periods: tuple[int, ...]
     post_periods: tuple[int, ...]
     optimize_v: bool = False
-    sigma_floor_ratio: float = SIGMA_FLOOR_RATIO
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +87,11 @@ def placebo_distribution(
     treated: str,
     donors: Sequence[str],
     cfg: EstimatorConfig,
-    treated_fit: SynthFit | None = None,
+    treated_fit: SynthFit,
 ) -> PlaceboDistribution:
     """Re-run the estimator with each donor as pseudo-treated.
 
+    `treated_fit`, the treated unit's fit on `donors`, sets the scale.
     The genuinely treated unit never enters a placebo donor pool: its
     post periods are contaminated by the intervention.
     """
@@ -101,13 +101,11 @@ def placebo_distribution(
             f"placebo inference needs at least {MIN_PLACEBO_DONORS} donors, "
             f"got {len(donors)}; point estimates remain available without bands"
         )
-    if treated_fit is None:
-        treated_fit = run_unit_fit(panel, treated, donors, cfg)
     sigma_treated = treated_fit.rmse_pre
     scale = float(np.max(np.abs(panel.values))) if panel.values.size else 0.0
     if scale <= 0.0:
         raise InferenceError("outcome panel is identically zero; placebo scaling undefined")
-    floor = cfg.sigma_floor_ratio * scale
+    floor = SIGMA_FLOOR_RATIO * scale
 
     included, raw, scaled, sigmas, excluded = [], [], [], [], []
     for donor in donors:
@@ -178,14 +176,10 @@ def averaged_post_effect(
 
 
 def estimate_with_placebos(
-    panel: PanelSeries,
-    treated: str,
-    cfg: EstimatorConfig,
-    donors: Sequence[str] | None = None,
+    panel: PanelSeries, treated: str, cfg: EstimatorConfig
 ) -> tuple[SynthFit, PlaceboDistribution]:
-    """Treated fit plus its scaled placebo distribution in one call."""
-    if donors is None:
-        donors = tuple(c for c in panel.countries if c != treated)
+    """Treated fit on every other country plus its scaled placebo distribution."""
+    donors = tuple(c for c in panel.countries if c != treated)
     fit = run_unit_fit(panel, treated, donors, cfg)
     dist = placebo_distribution(panel, treated, donors, cfg, treated_fit=fit)
     return fit, dist
@@ -196,7 +190,6 @@ def falsification_run(
     treated: str,
     period_length_days: int,
     cutoff_days: int = 100,
-    donors: Sequence[str] | None = None,
 ) -> AveragedEffect:
     """Fit on early pre data only and average effects over held-out pre periods.
 
@@ -222,7 +215,7 @@ def falsification_run(
         all_pre_periods=fit_periods,
         post_periods=eval_periods,
     )
-    fit, dist = estimate_with_placebos(panel, treated, cfg, donors=donors)
+    fit, dist = estimate_with_placebos(panel, treated, cfg)
     return averaged_post_effect(fit, dist, periods=eval_periods)
 
 
@@ -241,16 +234,60 @@ def fitting_periods_for_level(pre_periods: Sequence[int], level_days: int) -> tu
     return tuple(t for t in pre_periods if (-1 - t) % stride == 0)
 
 
-@dataclass(frozen=True, eq=False)
-class AggregationLevelResult:
-    """Pipeline output for one aggregation level."""
+def prepare_outcome(
+    panel: PanelSeries,
+    treated: str,
+    transform: str = "log1p",
+    users: PanelSeries | None = None,
+    restriction: SampleRestriction = SampleRestriction(),
+    level_days: int | None = None,
+) -> tuple[PanelSeries, EstimatorConfig]:
+    """One outcome's estimation panel and its period split.
 
-    level_days: int
+    The outcome keeps the countries that `restriction` keeps in `users`,
+    the unique-user panel over the same window (None for the event panel,
+    restricted when built), and must keep `treated`. `transform` "log1p"
+    takes log(1 + level); "level" keeps levels. The panel must have pre
+    (t < 0) and post (t >= 0) periods. The fit uses every pre period with
+    a uniform V or, given an aggregation level, the level's
+    `fitting_periods_for_level` and, on subsampled levels, a V search.
+    """
+    if users is not None:
+        panel = panel.select_countries(restrict_sample(users, restriction).countries)
+    if treated not in panel.countries:
+        raise DataError(f"treated country {treated!r} not in the restricted panel")
+    if transform == "log1p":
+        panel = panel.log1p()
+    pre = tuple(t for t in panel.periods if t < 0)
+    post = tuple(t for t in panel.periods if t >= 0)
+    if not pre:
+        raise PanelRangeError("panel has no pre-intervention periods")
+    if not post:
+        raise PanelRangeError("panel has no post-intervention periods")
+    return panel, EstimatorConfig(
+        fit_pre_periods=pre if level_days is None else fitting_periods_for_level(pre, level_days),
+        all_pre_periods=pre,
+        post_periods=post,
+        optimize_v=level_days in _FIT_SUBSAMPLE_STRIDE,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeEstimate:
+    """One outcome's estimate: its panel, the treated fit, the placebo
+    distribution, pointwise bands and the averaged post effect."""
+
     panel: PanelSeries
     fit: SynthFit
     dist: PlaceboDistribution
     bands: np.ndarray
     averaged: AveragedEffect
+
+
+def estimate_outcome(panel: PanelSeries, treated: str, cfg: EstimatorConfig) -> OutcomeEstimate:
+    """Estimate a panel and config from `prepare_outcome`, with its bands."""
+    fit, dist = estimate_with_placebos(panel, treated, cfg)
+    return OutcomeEstimate(panel, fit, dist, pointwise_band(dist), averaged_post_effect(fit, dist))
 
 
 def aggregation_suite(
@@ -261,16 +298,17 @@ def aggregation_suite(
     outcome: str = "users",
     transform: str = "log1p",
     window_days: tuple[int, int] | None = None,
-) -> dict[int, AggregationLevelResult]:
-    """Rebuild the pipeline from the tweet table at each aggregation level.
+) -> dict[int, OutcomeEstimate]:
+    """Re-estimate one Twitter outcome at each aggregation level.
 
     `table` holds the bot-filtered tweets, classified once. Each level's
     calendar is anchored at the table's anchor date and only regroups
-    the table's day offsets, so a level costs no lexicon pass. Sample
-    restriction, panel construction, fitting-window subsampling, and the
-    V search (for subsampled levels) are all recomputed per level.
-    `window_days` clips the panel to (pre_days, post_days) around the
-    anchor so every level covers the same calendar span.
+    the table's day offsets, so a level costs no lexicon pass. Each
+    level's panels go through `prepare_outcome` with the level's
+    fitting-period rule, then `estimate_outcome`, as the CLI's
+    `estimate` does at one period length. `window_days` clips the panel
+    to (pre_days, post_days) around the anchor so every level covers the
+    same calendar span.
     """
     results = {}
     for level in levels:
@@ -280,27 +318,9 @@ def aggregation_suite(
             pre_days, post_days = window_days
             periods = (-math.ceil(pre_days / level), math.ceil(post_days / level) - 1)
         panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
-        restricted_users = restrict_sample(panels["users"], restriction)
-        if treated not in restricted_users.countries:
-            raise DataError(f"treated unit {treated!r} dropped by the sample restriction")
-        outcome_panel = panels[outcome].select_countries(restricted_users.countries)
-        if transform == "log1p":
-            outcome_panel = outcome_panel.log1p()
-        pre = tuple(t for t in outcome_panel.periods if t < 0)
-        post = tuple(t for t in outcome_panel.periods if t >= 0)
-        cfg = EstimatorConfig(
-            fit_pre_periods=fitting_periods_for_level(pre, level),
-            all_pre_periods=pre,
-            post_periods=post,
-            optimize_v=level in _FIT_SUBSAMPLE_STRIDE,
+        panel, cfg = prepare_outcome(
+            panels[outcome], treated, transform, users=panels["users"],
+            restriction=restriction, level_days=level,
         )
-        fit, dist = estimate_with_placebos(outcome_panel, treated, cfg)
-        results[level] = AggregationLevelResult(
-            level_days=level,
-            panel=outcome_panel,
-            fit=fit,
-            dist=dist,
-            bands=pointwise_band(dist),
-            averaged=averaged_post_effect(fit, dist),
-        )
+        results[level] = estimate_outcome(panel, treated, cfg)
     return results

@@ -10,7 +10,7 @@ prediction error over every pre period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -25,17 +25,30 @@ _SIMPLEX_TOL = 1e-9
 # within _KKT_TOL * (1 + max |gradient|) as equal
 _FEASIBLE_TOL = 1e-12
 _KKT_TOL = 1e-11
+# an equality solve whose support gradients spread by more than
+# _STATIONARY_TOL * (1 + max |gradient|) is no stationary point: lstsq
+# truncated a badly scaled KKT system (sound solves spread about 1e-12)
+_STATIONARY_TOL = 1e-6
 # a warm start's answer is certified only when it clears both tolerances
 # by this factor and its reduced Hessian's smallest eigenvalue exceeds
 # _MIN_CURVATURE * max(1, largest)
 _CERTIFICATE_MARGIN = 1e3
 _MIN_CURVATURE = 1e-8
+# the V search stops after this many sweeps or once its step halves below the minimum
+_V_MAX_SWEEPS = 200
+_V_MIN_STEP = 1e-6
 _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
 class SynthProblem:
-    """One treated unit, its donor pool, and the period split on a panel."""
+    """One treated unit, its donor pool, and the period split on a panel.
+
+    Construction builds the arrays every fit reads: the treated row and
+    the donors x periods rows over the full panel, the column indices of
+    the full pre window, and the fit's design on the fitting periods, x0
+    (treated) and X1 (periods x donors).
+    """
 
     treated: str
     donors: tuple[str, ...]
@@ -43,6 +56,11 @@ class SynthProblem:
     all_pre_periods: tuple[int, ...]
     post_periods: tuple[int, ...]
     Y: PanelSeries
+    treated_row: np.ndarray = field(init=False, repr=False)
+    donor_rows: np.ndarray = field(init=False, repr=False)
+    pre_idx: np.ndarray = field(init=False, repr=False)
+    x0: np.ndarray = field(init=False, repr=False)
+    X1: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.treated in self.donors:
@@ -53,17 +71,29 @@ class SynthProblem:
             raise DataError("no fitting periods")
         if not set(self.pre_periods) <= set(self.all_pre_periods):
             raise DataError("fitting periods must be a subset of the full pre window")
-        for t in (*self.all_pre_periods, *self.post_periods):
-            self.Y.period_index(t)
+        pre_idx = self._columns(self.all_pre_periods)
+        self._columns(self.post_periods)
+        fit_idx = self._columns(self.pre_periods)
+        treated_row = self.Y.series(self.treated)
+        donor_rows = self.Y.values[[self.Y.country_index(d) for d in self.donors]]
+        for name, value in (
+            ("treated_row", treated_row),
+            ("donor_rows", donor_rows),
+            ("pre_idx", pre_idx),
+            ("x0", treated_row[fit_idx]),
+            # not donor_rows[:, fit_idx], which numpy lays out F-ordered:
+            # BLAS may round A = X1'VX1 differently on another layout
+            ("X1", donor_rows.take(fit_idx, axis=1).T),
+        ):
+            object.__setattr__(self, name, value)
 
-    def treated_vector(self, periods: Sequence[int]) -> np.ndarray:
-        row = self.Y.series(self.treated)
-        return np.array([row[self.Y.period_index(t)] for t in periods])
-
-    def donor_matrix(self, periods: Sequence[int]) -> np.ndarray:
-        idx = [self.Y.period_index(t) for t in periods]
-        rows = [self.Y.series(d)[idx] for d in self.donors]
-        return np.array(rows).T  # periods x donors
+    def _columns(self, periods: Sequence[int]) -> np.ndarray:
+        """Column indices of `periods` in the panel; PanelRangeError for the first outside it."""
+        idx = np.array(periods, dtype=np.intp) - self.Y.t_min
+        outside = (idx < 0) | (idx >= len(self.Y.periods))
+        if outside.any():
+            self.Y.period_index(periods[int(outside.argmax())])
+        return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +151,10 @@ def _active_set(
     alternates equality solves on the support with ratio-test drops and
     most-negative-gradient additions until the support KKT conditions
     hold. Returns (weights, final support, equality solve on it), or None
-    when no such point is found within the cycle cap or a KKT solve is
-    not finite. The weights are clip(target)/sum of that equality solve,
-    so their bits depend only on (A, b, final support).
+    when no such point is found within the cycle cap, or a KKT solve is
+    not finite or not stationary on its support. The weights are
+    clip(target)/sum of that equality solve, so their bits depend only on
+    (A, b, final support).
     """
     n = b.size
     for _ in range(8 * n + 16):
@@ -135,6 +166,8 @@ def _active_set(
             w = np.clip(target, 0.0, None)
             w = w / w.sum()
             gradient = 2.0 * (A @ w - b)
+            if np.ptp(gradient[idx]) > _STATIONARY_TOL * (1.0 + float(np.abs(gradient).max())):
+                return None
             off = np.flatnonzero(~support)
             if off.size == 0:
                 return w, support, target
@@ -234,81 +267,68 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
     return cold[0]
 
 
-def _design(problem: SynthProblem, v_diag: np.ndarray | None):
-    x0 = problem.treated_vector(problem.pre_periods)
-    X1 = problem.donor_matrix(problem.pre_periods)
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(X1))):
-        raise DataError("non-finite outcome values in fitting window")
+def _v_diag(problem: SynthProblem, v_diag: np.ndarray | None) -> np.ndarray:
+    """The given trace-one diagonal, checked, or the uniform one."""
     p = len(problem.pre_periods)
     if v_diag is None:
-        v = np.full(p, 1.0 / p)
-    else:
-        v = np.asarray(v_diag, dtype=float)
-        if v.shape != (p,):
-            raise DataError(f"v_diag must have one entry per fitting period ({p})")
-        if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
-            raise DataError("v_diag entries must be nonnegative with trace 1")
-    return x0, X1, v
+        return np.full(p, 1.0 / p)
+    v = np.asarray(v_diag, dtype=float)
+    if v.shape != (p,):
+        raise DataError(f"v_diag must have one entry per fitting period ({p})")
+    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
+        raise DataError("v_diag entries must be nonnegative with trace 1")
+    return v
 
 
-def _weights(
-    x0: np.ndarray, X1: np.ndarray, v: np.ndarray, start: np.ndarray | None = None
-) -> WeightVector:
+def _weights(problem: SynthProblem, v: np.ndarray, start: np.ndarray | None = None) -> WeightVector:
+    X1 = problem.X1
     A = X1.T @ (v[:, None] * X1)
-    b = X1.T @ (v * x0)
+    b = X1.T @ (v * problem.x0)
     return WeightVector(w=_solve_simplex_qp(A, b, start))
 
 
 def fit_weights(problem: SynthProblem, v_diag: np.ndarray | None = None) -> WeightVector:
     """Donor weights minimizing the V-weighted pre-period discrepancy."""
-    return _weights(*_design(problem, v_diag))
+    return _weights(problem, _v_diag(problem, v_diag))
 
 
 def fit_objective(problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None) -> float:
     """(x0 - X1 w)' V (x0 - X1 w) for diagnostics and tests."""
-    x0, X1, v = _design(problem, v_diag)
-    r = x0 - X1 @ weights.w
-    return float(r @ (v * r))
-
-
-def _panel_rows(problem: SynthProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The treated row and the donors x periods matrix over the full panel."""
-    treated = problem.Y.series(problem.treated)
-    return treated, np.array([problem.Y.series(d) for d in problem.donors])
+    r = problem.x0 - problem.X1 @ weights.w
+    return float(r @ (_v_diag(problem, v_diag) * r))
 
 
 def effect_series(problem: SynthProblem, weights: WeightVector) -> np.ndarray:
     """Treated minus synthetic outcome at every panel period, pre and post."""
-    treated, donors = _panel_rows(problem)
-    return treated - weights.w @ donors
+    return problem.treated_row - weights.w @ problem.donor_rows
 
 
 def mspe(problem: SynthProblem, weights: WeightVector, periods: Sequence[int]) -> float:
     """Mean squared prediction error of the fit over the given periods."""
     effects = effect_series(problem, weights)
-    idx = [problem.Y.period_index(t) for t in periods]
-    return float(np.mean(effects[idx] ** 2))
+    return float(np.mean(effects[problem._columns(periods)] ** 2))
 
 
-def optimize_v(
-    problem: SynthProblem, max_iterations: int = 200, min_step: float = 1e-6
-) -> tuple[np.ndarray, WeightVector]:
+def _pre_mspe(problem: SynthProblem, effects: np.ndarray) -> float:
+    """Mean squared effect over the full pre window."""
+    return float(np.mean(effects[problem.pre_idx] ** 2))
+
+
+def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
     """Diagonal V minimizing prediction error over every pre period.
 
     Deterministic coordinate refinement from the uniform diagonal with a
     halving step schedule; each candidate diagonal is scored by refitting
     the weights and evaluating MSPE on the full pre window. The design
-    matrices and panel rows are built once per search, and a candidate
-    that comes back (clamped coordinates recur after each step halving)
-    is not solved again. Each candidate's QP starts warm from the
-    incumbent's weights and keeps that answer only under a certificate
-    that the solve from uniform weights returns the same bits, so a
-    candidate's weights do not depend on the path that reached it. The
-    returned diagonal is never worse than uniform.
+    matrices and panel rows come from the problem, and a candidate that
+    comes back (clamped coordinates recur after each step halving) is not
+    solved again. Each candidate's QP starts warm from the incumbent's
+    weights and keeps that answer only under a certificate that the solve
+    from uniform weights returns the same bits, so a candidate's weights
+    do not depend on the path that reached it. The returned diagonal is
+    never worse than uniform.
     """
-    x0, X1, v = _design(problem, None)
-    treated, donors = _panel_rows(problem)
-    idx = [problem.Y.period_index(t) for t in problem.all_pre_periods]
+    v = _v_diag(problem, None)
     scored: dict[bytes, tuple[WeightVector, float]] = {}
 
     def fit_and_score(candidate: np.ndarray, start: np.ndarray | None) -> tuple[WeightVector, float]:
@@ -319,9 +339,8 @@ def optimize_v(
             # few periods) an uncertified warm start can reach another
             # minimizer with an equal objective, and the search would then
             # take another path
-            w = _weights(x0, X1, candidate, start)
-            effects = treated - w.w @ donors
-            scored[key] = (w, float(np.mean(effects[idx] ** 2)))
+            w = _weights(problem, candidate, start)
+            scored[key] = (w, _pre_mspe(problem, effect_series(problem, w)))
         return scored[key]
 
     w, best = fit_and_score(v, None)
@@ -330,7 +349,7 @@ def optimize_v(
         # so the uniform diagonal is already optimal
         return v, w
     step = 0.5
-    for _ in range(max_iterations):
+    for _ in range(_V_MAX_SWEEPS):
         improved = False
         for i in range(v.size):
             for direction in (1.0, -1.0):
@@ -348,7 +367,7 @@ def optimize_v(
                     improved = True
         if not improved:
             step *= 0.5
-            if step < min_step:
+            if step < _V_MIN_STEP:
                 break
     return v, w
 
@@ -362,8 +381,10 @@ def package_fit(
     problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None
 ) -> SynthFit:
     """Effects and pre-period RMSE of weights already fitted under `v_diag`."""
-    p = len(problem.pre_periods)
-    v = np.full(p, 1.0 / p) if v_diag is None else np.asarray(v_diag, dtype=float)
     effects = effect_series(problem, weights)
-    rmse = math.sqrt(mspe(problem, weights, problem.all_pre_periods))
-    return SynthFit(weights=weights, v_diag=v, effects=effects, rmse_pre=rmse)
+    return SynthFit(
+        weights=weights,
+        v_diag=_v_diag(problem, v_diag),
+        effects=effects,
+        rmse_pre=math.sqrt(_pre_mspe(problem, effects)),
+    )

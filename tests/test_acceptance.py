@@ -70,8 +70,7 @@ def test_criterion_1_simplex_qp_oracle():
         )
         w = fit_weights(problem)
         f_solver = fit_objective(problem, w)
-        x0 = problem.treated_vector(problem.pre_periods)
-        X1 = problem.donor_matrix(problem.pre_periods)
+        x0, X1 = problem.x0, problem.X1
         v = np.full(n_pre, 1.0 / n_pre)
         f_grid = grid_search(x0, X1, v, step=0.001)
         worst_gap = max(worst_gap, f_solver - f_grid)

@@ -158,14 +158,34 @@ class TestEstimate:
 
 
 class TestExitCodes:
-    def test_missing_treated_is_data_error(self, corpus_dir, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["estimate", "falsify", "aggregate"])
+    def test_missing_treated_is_data_error(self, corpus_dir, tmp_path, monkeypatch, capsys, command):
         code = run_in(
             tmp_path, monkeypatch,
-            ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
+            [command, "--tweets", str(corpus_dir / "tweets.csv"),
              "--treated", "XX", "--outcome", "users", "--out", "out"],
         )
         assert code == 2
-        assert "data error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "data error: treated country 'XX' not in the restricted panel\n"
+        )
+
+    @pytest.mark.parametrize("command", ["estimate", "falsify", "aggregate"])
+    @pytest.mark.parametrize("window, message", [
+        (["--t-min", "0"], "panel has no pre-intervention periods"),
+        (["--t-max", "-1"], "panel has no post-intervention periods"),
+    ], ids=["no-pre", "no-post"])
+    def test_window_without_pre_or_post_is_range_error(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, command, window, message
+    ):
+        fits = []
+        monkeypatch.setattr(inference, "estimate_with_placebos", lambda *args: fits.append(args))
+        code = run_in(tmp_path, monkeypatch, [
+            command, "--tweets", str(corpus_dir / "tweets.csv"), *window, "--out", "out",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert fits == []  # refused before any fit
 
     def test_too_few_donors_is_inference_error(self, tmp_path, monkeypatch, capsys):
         spec = CorpusSpec(countries=("UG", "KE", "GH", "RW"), pre_days=40,
@@ -346,6 +366,19 @@ class TestExitCodes:
         assert err == f"data error: cutoff_days must be positive, got {cutoff}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["mu-c", "mu-w", "sigma-c", "sigma-w"])
+    def test_non_finite_diffusion_parameter_is_configuration_error(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        code = run_in(tmp_path, monkeypatch, [
+            "diffusion", f"--{flag}", value, "--grid-n", "51", "--q-steps", "2", "--out", "out",
+        ])
+        assert code == 2
+        name = flag.replace("-", "_")
+        assert capsys.readouterr().err == f"data error: {name} must be finite, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_path(self, tmp_path, monkeypatch):
         code = run_in(
             tmp_path, monkeypatch,
@@ -473,6 +506,13 @@ class TestConfigFile:
         users = read_rows(tmp_path / "cli_out" / "panels" / "users.csv")
         assert {r["period"] for r in users} == {"-2", "-1", "0"}  # t_min from file
 
+    @pytest.mark.parametrize("value", ["1e3", "1_000", "true", "Infinity"])
+    def test_unquoted_value_reaches_its_flag_as_written(self, tmp_path, monkeypatch, value):
+        shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")
+        (tmp_path / "run.toml").write_text(f"tweets = tweets.csv\nout = {value}\n")
+        assert run_in(tmp_path, monkeypatch, ["build-panel", "--config", "run.toml"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.toml", "tweets.csv", value])
+
     def test_malformed_config_line(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "run.toml").write_text("tweets data/tweets.csv\n")
         code = run_in(tmp_path, monkeypatch, ["build-panel", "--config", "run.toml"])
@@ -564,7 +604,7 @@ def all_figures_run(tmp_path_factory):
         "lowercased": CallCounter(classify.ascii_lower, len),
         "cli_flags": CallCounter(cli.user_period_flags, period_days),
         "suite_flags": CallCounter(inference.user_period_flags, period_days),
-        "estimates": CallCounter(cli.estimate_with_placebos, lambda panel, *args: panel.outcome_name),
+        "estimates": CallCounter(cli.estimate_outcome, lambda panel, *args: panel.outcome_name),
     }
     with pytest.MonkeyPatch.context() as mp:
         for module, name, counter in (
@@ -572,7 +612,7 @@ def all_figures_run(tmp_path_factory):
             (cli, "bot_filter", "bot_filter"), (cli, "tweet_table", "table"),
             (classify, "ascii_lower", "lowercased"),
             (cli, "user_period_flags", "cli_flags"), (inference, "user_period_flags", "suite_flags"),
-            (cli, "estimate_with_placebos", "estimates"),
+            (cli, "estimate_outcome", "estimates"),
         ):
             mp.setattr(module, name, counters[counter])
         code = main(["all-figures", "--tweets", str(root / "data" / "tweets.csv"),

@@ -18,7 +18,6 @@ from synthpanel.inference import (
     estimate_with_placebos,
     falsification_run,
     fitting_periods_for_level,
-    placebo_distribution,
     placebo_quantile,
     pointwise_band,
     run_unit_fit,
@@ -47,7 +46,7 @@ class TestPlaceboDistribution:
     def test_refuses_small_donor_pool(self):
         panel = small_panel(n_donors=4)
         with pytest.raises(InferenceError, match="at least 5"):
-            placebo_distribution(panel, TREATED, panel.countries[1:], default_cfg(panel))
+            estimate_with_placebos(panel, TREATED, default_cfg(panel))
 
     def test_perfect_fit_donor_excluded(self):
         panel = small_panel(seed=3)

@@ -70,8 +70,7 @@ class TestFitWeights:
     def test_matches_grid_search(self, seed):
         problem = random_problem(seed, n_donors=4, n_pre=6)
         w = fit_weights(problem)
-        x0 = problem.treated_vector(problem.pre_periods)
-        X1 = problem.donor_matrix(problem.pre_periods)
+        x0, X1 = problem.x0, problem.X1
         v = np.full(6, 1 / 6)
         assert fit_objective(problem, w) <= grid_search_fiber(x0, X1, v, 0.001) + 1e-8
 
@@ -171,8 +170,7 @@ class TestGridOracleSelfCheck:
     @pytest.mark.parametrize("seed", range(5))
     def test_three_donors_full_grid(self, seed):
         problem = random_problem(seed, n_donors=3, n_pre=4)
-        x0 = problem.treated_vector(problem.pre_periods)
-        X1 = problem.donor_matrix(problem.pre_periods)
+        x0, X1 = problem.x0, problem.X1
         v = np.full(4, 0.25)
         full = grid_search_full(x0, X1, v, step=0.02)
         fiber = grid_search_fiber(x0, X1, v, step=0.02)
@@ -181,8 +179,7 @@ class TestGridOracleSelfCheck:
     @pytest.mark.parametrize("seed", range(3))
     def test_four_donors_coarse_grid(self, seed):
         problem = random_problem(seed + 50, n_donors=4, n_pre=5)
-        x0 = problem.treated_vector(problem.pre_periods)
-        X1 = problem.donor_matrix(problem.pre_periods)
+        x0, X1 = problem.x0, problem.X1
         v = np.full(5, 0.2)
         full = grid_search_full(x0, X1, v, step=0.05)
         fiber = grid_search_fiber(x0, X1, v, step=0.05)
@@ -426,8 +423,20 @@ class TestWarmStart:
         cold = synth._solve_simplex_qp(A, b)
         assert np.array_equal(synth._solve_simplex_qp(A, b, start), cold)
 
+    def test_non_stationary_cold_answer_is_refused(self):
+        # scaled so badly that lstsq truncates the KKT system on both donors:
+        # its answer is not stationary there. The minimizer is [0, 1], which
+        # the warm start from it finds and certifies
+        A = np.array([[4.64840963e8, 2.89633425e7], [2.89633425e7, 1.01375109e7]])
+        b = np.array([17709968.50410161, 1664059.01463281])
+        with pytest.raises(InferenceError, match="no optimum"):
+            synth._solve_simplex_qp(A, b)
+        start = np.array([0.0, 1.0])
+        assert np.array_equal(synth._solve_simplex_qp(A, b, start), start)
+
     def full_rank_qp(self):
-        x0, X1, v = synth._design(random_problem(3, n_donors=4, n_pre=6), None)
+        problem = random_problem(3, n_donors=4, n_pre=6)
+        x0, X1, v = problem.x0, problem.X1, np.full(6, 1 / 6)
         return X1.T @ (v[:, None] * X1), X1.T @ (v * x0)
 
     def test_unique_minimizer_is_certified(self):
