@@ -34,19 +34,6 @@ TWEET_CSV_COLUMNS = (
     "tweet_lang",
 )
 
-USER_COUNT_OUTCOMES = (
-    "users",
-    "new_accounts",
-    "infrequent_users",
-    "not_apple_users",
-    "student_users",
-    "activist_users",
-    "political_users",
-)
-TWEET_COUNT_OUTCOMES = ("tweets", "collective_tweets", "political_tweets")
-PROPORTION_OUTCOMES = ("prop_collective_users", "prop_collective_tweets", "tax_mention_share")
-OUTCOME_NAMES = USER_COUNT_OUTCOMES + TWEET_COUNT_OUTCOMES + PROPORTION_OUTCOMES
-
 
 def ascii_lower(text: str) -> str:
     """Lowercase A-Z only; Unicode case folding is deliberately not applied."""
@@ -137,6 +124,33 @@ STUDENT = 2  # user description or location
 COLLECTIVE = 4  # text
 POLITICAL = 8  # text
 TAX = 16  # "tax" in a collective text
+# bits that only UserPeriodFlags.bits has: facts of a user-period group
+NEW_ACCOUNT = 32  # account created in the group's period
+INFREQUENT = 64  # under one tweet a day at the user's first tweet
+
+# The Twitter outcomes. A count counts user-period groups or tweets whose
+# bits have every bit of `on` set and every bit of `off` clear; a
+# proportion divides one count by another, cell by cell.
+_GROUPS, _TWEETS = "groups", "tweets"
+_COUNTS = {  # name: (counted rows, on, off)
+    "users": (_GROUPS, 0, 0),
+    "new_accounts": (_GROUPS, NEW_ACCOUNT, 0),
+    "infrequent_users": (_GROUPS, INFREQUENT, 0),
+    "not_apple_users": (_GROUPS, 0, APPLE_SOURCE),
+    "student_users": (_GROUPS, STUDENT, 0),
+    "activist_users": (_GROUPS, COLLECTIVE, 0),
+    "political_users": (_GROUPS, POLITICAL, 0),
+    "tweets": (_TWEETS, 0, 0),
+    "collective_tweets": (_TWEETS, COLLECTIVE, 0),
+    "political_tweets": (_TWEETS, POLITICAL, 0),
+}
+_PROPORTIONS = {  # name: (numerator, denominator)
+    "prop_collective_users": (_COUNTS["activist_users"], _COUNTS["users"]),
+    "prop_collective_tweets": (_COUNTS["collective_tweets"], _COUNTS["tweets"]),
+    "tax_mention_share": ((_TWEETS, TAX, 0), _COUNTS["collective_tweets"]),
+}
+PROPORTION_OUTCOMES = tuple(_PROPORTIONS)
+OUTCOME_NAMES = tuple(_COUNTS) + PROPORTION_OUTCOMES
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,19 +180,15 @@ class UserPeriodFlags:
 
     Columns hold one entry per group of a user's tweets in one
     country-period, ordered by (user code, country code, period);
-    `tweet_period` is the period of each table row.
+    `tweet_period` is the period of each table row. A group's `bits` is
+    the OR of its tweets' bits, plus NEW_ACCOUNT and INFREQUENT.
     """
 
     tweet_period: np.ndarray
     user: np.ndarray
     country: np.ndarray
     period: np.ndarray
-    new_account: np.ndarray
-    infrequent: np.ndarray
-    not_apple: np.ndarray
-    student: np.ndarray
-    activist: np.ndarray
-    political: np.ndarray
+    bits: np.ndarray
 
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
@@ -323,17 +333,10 @@ def user_period_flags(table: TweetTable, cal: PeriodCalendar) -> UserPeriodFlags
     np.minimum.at(created, group_of, table.created_day)
     group_period = groups % span + first
     user, country = np.divmod(groups // span, len(table.countries))
+    bits[created // length == group_period] |= NEW_ACCOUNT
+    bits[table.infrequent[user]] |= INFREQUENT
     return UserPeriodFlags(
-        tweet_period=period,
-        user=user,
-        country=country,
-        period=group_period,
-        new_account=created // length == group_period,
-        infrequent=table.infrequent[user],
-        not_apple=bits & APPLE_SOURCE == 0,
-        student=bits & STUDENT != 0,
-        activist=bits & COLLECTIVE != 0,
-        political=bits & POLITICAL != 0,
+        tweet_period=period, user=user, country=country, period=group_period, bits=bits
     )
 
 
@@ -356,60 +359,23 @@ def twitter_outcomes(
     lo, hi = periods
     if lo > hi:
         raise PanelRangeError(f"empty period range {lo}..{hi}")
-    countries = table.countries
-    shape = (len(countries), hi - lo + 1)
-
-    def to_panel(country: np.ndarray, period: np.ndarray, where: np.ndarray, name: str) -> PanelSeries:
-        keep = where & (lo <= period) & (period <= hi)
-        cells = country[keep] * shape[1] + (period[keep] - lo)
-        return PanelSeries(
-            outcome_name=name,
-            countries=countries,
-            periods=tuple(range(lo, hi + 1)),
-            values=np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape),
-        )
-
-    def user_panel(where: np.ndarray, name: str) -> PanelSeries:
-        return to_panel(flags.country, flags.period, where, name)
-
-    def tweet_panel(where: np.ndarray, name: str) -> PanelSeries:
-        return to_panel(table.country, flags.tweet_period, where, name)
-
-    panels = {
-        "users": user_panel(np.ones(len(flags.period), dtype=bool), "users"),
-        "new_accounts": user_panel(flags.new_account, "new_accounts"),
-        "infrequent_users": user_panel(flags.infrequent, "infrequent_users"),
-        "not_apple_users": user_panel(flags.not_apple, "not_apple_users"),
-        "student_users": user_panel(flags.student, "student_users"),
-        "activist_users": user_panel(flags.activist, "activist_users"),
-        "political_users": user_panel(flags.political, "political_users"),
-        "tweets": tweet_panel(np.ones(len(table.bits), dtype=bool), "tweets"),
-        "collective_tweets": tweet_panel(table.bits & COLLECTIVE != 0, "collective_tweets"),
-        "political_tweets": tweet_panel(table.bits & POLITICAL != 0, "political_tweets"),
-    }
-
-    def ratio_panel(numer: PanelSeries, denom: PanelSeries, name: str) -> PanelSeries:
-        zero = denom.values == 0
-        values = np.divide(
-            numer.values, denom.values, out=np.zeros_like(numer.values), where=~zero
-        )
-        return PanelSeries(
-            outcome_name=name,
-            countries=countries,
-            periods=numer.periods,
-            values=values,
-            flagged=zero,
-        )
-
-    panels["prop_collective_users"] = ratio_panel(
-        panels["activist_users"], panels["users"], "prop_collective_users"
-    )
-    panels["prop_collective_tweets"] = ratio_panel(
-        panels["collective_tweets"], panels["tweets"], "prop_collective_tweets"
-    )
-    panels["tax_mention_share"] = ratio_panel(
-        tweet_panel(table.bits & TAX != 0, "tax_mention_share"),
-        panels["collective_tweets"],
-        "tax_mention_share",
-    )
+    shape = (len(table.countries), hi - lo + 1)
+    rows = {}  # counted rows: (cell index, bits) of each row inside the range
+    for counted, country, period, bits in (
+        (_GROUPS, flags.country, flags.period, flags.bits),
+        (_TWEETS, table.country, flags.tweet_period, table.bits),
+    ):
+        inside = (lo <= period) & (period <= hi)
+        rows[counted] = (country[inside] * shape[1] + (period[inside] - lo), bits[inside])
+    counts = {}
+    for counted, on, off in {*_COUNTS.values(), *(c for pair in _PROPORTIONS.values() for c in pair)}:
+        cells, bits = rows[counted]
+        chosen = cells[bits & (on | off) == on]
+        counts[counted, on, off] = np.bincount(chosen, minlength=shape[0] * shape[1]).reshape(shape)
+    axis = tuple(range(lo, hi + 1))
+    panels = {name: PanelSeries(name, table.countries, axis, counts[c]) for name, c in _COUNTS.items()}
+    for name, (numer, denom) in _PROPORTIONS.items():
+        zero = counts[denom] == 0
+        values = np.divide(counts[numer], counts[denom], out=np.zeros(shape), where=~zero)
+        panels[name] = PanelSeries(name, table.countries, axis, values, flagged=zero)
     return panels

@@ -30,7 +30,7 @@ from .classify import (
     twitter_outcomes,
     user_period_flags,
 )
-from .diffusion import PopulationParams, ResponseFunction, equilibria
+from .diffusion import PopulationParams, ResponseFunction, equilibria, require_finite
 from .errors import (
     ConfigurationError,
     DataError,
@@ -424,6 +424,9 @@ def cmd_diffusion(args, inputs: RunInputs) -> None:
         response = ResponseFunction.linear(args.slope)
     else:
         response = ResponseFunction.logistic(args.scale, args.steepness, args.midpoint)
+    require_finite(q_min=args.q_min, q_max=args.q_max)
+    if args.q_steps < 1:
+        raise ConfigurationError(f"q_steps must be at least 1, got {args.q_steps}")
     qs = np.linspace(args.q_min, args.q_max, args.q_steps)
     curve_rows, eq_rows = [], []
     chart = LineChart(title="Participation best-response map", x_label="x", y_label="phi(x)")
@@ -544,7 +547,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; `config` maps a command to defaults for its flags."""
     parser = _Parser(prog="synthpanel", description=__doc__)
     parser.add_argument("--version", action="version", version=f"synthpanel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -559,36 +563,39 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(command, help=help_text)
         _add_flags(p, command)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, **(config or {}).get(command, {}))
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Set the --config file's values for flags not given on the command line.
+def _config_values(path: Path, command: str) -> dict:
+    """The --config file's values, each read by the command's matching flag.
 
     Each value goes through its flag's type conversion and choice check,
-    so a file value means what the same flag would.
+    so a file value means what the same flag would. A key must name a
+    flag of `command` in full.
     """
-    flags = argparse.ArgumentParser(exit_on_error=False)
-    _add_flags(flags, args.command)
-    given = _explicit_flags(argv)
-    for key, value in _parse_flat_config(args.config).items():
-        if key not in vars(args) or key in given:
-            continue
+    flags = argparse.ArgumentParser(exit_on_error=False, allow_abbrev=False)
+    _add_flags(flags, command)
+    values = {}
+    for key, value in _parse_flat_config(path).items():
         try:
             parsed, unknown = flags.parse_known_args([f"--{key.replace('_', '-')}={value}"])
         except argparse.ArgumentError as exc:
-            raise ConfigurationError(f"{args.config}: {key}: {exc.message}") from None
+            raise ConfigurationError(f"{path}: {key}: {exc.message}") from None
         if unknown:
-            raise ConfigurationError(f"{args.config}: {key} is not a {args.command} setting")
-        setattr(args, key, getattr(parsed, key))
+            raise ConfigurationError(f"{path}: {key} is not a {command} setting")
+        values[key] = getattr(parsed, key)
+    return values
 
 
 def _resolve(argv: list[str] | None) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     if args.config is not None:
-        _apply_config(args, argv)  # explicit flags win over the file
+        # the file's values become the command's defaults, so a flag given
+        # on the command line wins in any spelling argparse accepts
+        config = {args.command: _config_values(args.config, args.command)}
+        args = build_parser(config).parse_args(argv)
     if not 0.0 < args.restriction <= 1.0:
         raise ConfigurationError("restriction parameter must be in (0, 1]")
     for attr in ("tweets", "events", "lexicons"):
@@ -611,14 +618,6 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
         if not args.levels:
             raise ConfigurationError("levels names no aggregation level")
     return args
-
-
-def _explicit_flags(argv: list[str]) -> set[str]:
-    keys = set()
-    for token in argv:
-        if token.startswith("--"):
-            keys.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return keys
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -37,6 +37,13 @@ def ndtr(x):
     return scipy_ndtr(x)
 
 
+def require_finite(**values: float) -> None:
+    """Raise ConfigurationError naming the first keyword whose value is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PopulationParams:
     """Joint-normal parameters of protest cost c and platform valuation w."""
@@ -48,9 +55,7 @@ class PopulationParams:
     rho: float
 
     def __post_init__(self):
-        for name in ("mu_c", "mu_w", "sigma_c", "sigma_w"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(mu_c=self.mu_c, mu_w=self.mu_w, sigma_c=self.sigma_c, sigma_w=self.sigma_w)
         if self.sigma_c <= 0 or self.sigma_w <= 0:
             raise ConfigurationError("standard deviations must be positive")
         if not -1.0 <= self.rho <= 1.0:
@@ -78,6 +83,7 @@ class ResponseFunction:
 
     @staticmethod
     def linear(slope: float) -> "ResponseFunction":
+        require_finite(slope=slope)
         if slope <= 0:
             raise ConfigurationError("linear response needs a positive slope")
         return ResponseFunction(
@@ -87,6 +93,7 @@ class ResponseFunction:
     @staticmethod
     def logistic(scale: float, steepness: float, midpoint: float = 0.5) -> "ResponseFunction":
         """S-shaped response shifted so it vanishes at zero."""
+        require_finite(scale=scale, steepness=steepness, midpoint=midpoint)
         if scale <= 0 or steepness <= 0:
             raise ConfigurationError("logistic response needs positive scale and steepness")
         offset = 1.0 / (1.0 + math.exp(steepness * midpoint))
@@ -312,7 +319,10 @@ def equilibria(
 
     When the platform empties for small x the domain is truncated to the
     participation range where joining probability stays above the floor.
+    The grid has `grid_n` points, at least 2.
     """
+    if grid_n < 2:
+        raise ConfigurationError(f"grid_n must be at least 2, got {grid_n}")
     grid = np.linspace(0.0, 1.0, grid_n)
     feasible = np.asarray(platform_probability(grid, q, v, p)) > PLATFORM_FLOOR
     if not feasible.any():

@@ -21,12 +21,11 @@ BAND_LEVELS = (0.025, 0.975)
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Period split and solver options shared by treated and placebo fits."""
+    """Period split shared by treated and placebo fits."""
 
     fit_pre_periods: tuple[int, ...]
     all_pre_periods: tuple[int, ...]
     post_periods: tuple[int, ...]
-    optimize_v: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +65,10 @@ class AveragedEffect:
 def run_unit_fit(
     panel: PanelSeries, unit: str, pool: Sequence[str], cfg: EstimatorConfig
 ) -> SynthFit:
-    """Fit one unit against its donor pool under the shared config."""
+    """Fit one unit against its donor pool under the shared config.
+
+    When the fit uses a subsample of the pre window, V is searched for.
+    """
     problem = SynthProblem(
         treated=unit,
         donors=tuple(pool),
@@ -75,7 +77,7 @@ def run_unit_fit(
         post_periods=cfg.post_periods,
         Y=panel,
     )
-    if cfg.optimize_v:
+    if cfg.fit_pre_periods != cfg.all_pre_periods:
         # the search already fitted the weights for the V it returns
         v_diag, weights = optimize_v(problem)
         return package_fit(problem, weights, v_diag)
@@ -268,7 +270,6 @@ def prepare_outcome(
         fit_pre_periods=pre if level_days is None else fitting_periods_for_level(pre, level_days),
         all_pre_periods=pre,
         post_periods=post,
-        optimize_v=level_days in _FIT_SUBSAMPLE_STRIDE,
     )
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from synthpanel.classify import (
     APPLE_SOURCE,
     COLLECTIVE,
+    INFREQUENT,
+    NEW_ACCOUNT,
     OUTCOME_NAMES,
     POLITICAL,
     STUDENT,
@@ -158,7 +160,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=100,
         )
-        assert flags_of([tweet]).infrequent.tolist() == [True]
+        assert (flags_of([tweet]).bits & INFREQUENT != 0).tolist() == [True]
 
     def test_same_day_zero_statuses_is_infrequent(self):
         created = dt.datetime(2018, 7, 2, 0, 0, tzinfo=UTC)
@@ -167,7 +169,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=0,
         )
-        assert flags_of([tweet]).infrequent.tolist() == [True]  # 0 / max(1, 0) < 1
+        assert (flags_of([tweet]).bits & INFREQUENT != 0).tolist() == [True]  # 0 / max(1, 0) < 1
 
     def test_same_day_several_statuses_not_infrequent(self):
         created = dt.datetime(2018, 7, 2, 0, 0, tzinfo=UTC)
@@ -176,7 +178,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=3,
         )
-        assert flags_of([tweet]).infrequent.tolist() == [False]
+        assert (flags_of([tweet]).bits & INFREQUENT != 0).tolist() == [False]
 
     def test_infrequent_fixed_at_first_appearance(self):
         created = dt.datetime(2018, 1, 1, tzinfo=UTC)
@@ -192,7 +194,7 @@ class TestUserPeriodFlags:
             user_created_at=created,
             statuses_count=100000,  # would be frequent if re-evaluated
         )
-        assert flags_of([later, first]).infrequent.tolist() == [True, True]
+        assert (flags_of([later, first]).bits & INFREQUENT != 0).tolist() == [True, True]
 
     def test_apple_source_flags_per_period(self):
         apple = Tweet(
@@ -207,7 +209,7 @@ class TestUserPeriodFlags:
         )
         flags = flags_of([apple, web])
         assert flags.period.tolist() == [-1, 0]
-        assert flags.not_apple.tolist() == [False, True]
+        assert (flags.bits & APPLE_SOURCE == 0).tolist() == [False, True]
 
     def test_new_account_in_creation_period_only(self):
         created = dt.datetime(2018, 6, 28, tzinfo=UTC)
@@ -225,11 +227,11 @@ class TestUserPeriodFlags:
         )
         flags = flags_of([early, late])
         assert flags.period.tolist() == [-1, 0]
-        assert flags.new_account.tolist() == [True, False]
+        assert (flags.bits & NEW_ACCOUNT != 0).tolist() == [True, False]
 
     def test_student_from_location(self):
         tweet = Tweet(user_location="University of Nairobi")
-        assert flags_of([tweet]).student.tolist() == [True]
+        assert (flags_of([tweet]).bits & STUDENT != 0).tolist() == [True]
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_first_seen_tie_broken_by_tweet_id_string(self, order):
@@ -243,7 +245,7 @@ class TestUserPeriodFlags:
                        statuses_count=10),
         ]
         flags = flags_of([tweets[i] for i in order])
-        assert flags.infrequent.tolist() == [True]
+        assert (flags.bits & INFREQUENT != 0).tolist() == [True]
 
     def test_calendar_must_share_the_table_anchor(self):
         table = table_of([Tweet()])
@@ -476,8 +478,7 @@ def test_classification_is_order_independent():
     backward = tweet_table(records.take(np.arange(len(records))[::-1]), LEX, CAL10.anchor_date)
     flags_forward = user_period_flags(forward, CAL10)
     flags_reversed = user_period_flags(backward, CAL10)
-    for column in ("user", "country", "period", "new_account", "infrequent",
-                   "not_apple", "student", "activist", "political"):
+    for column in ("user", "country", "period", "bits"):
         assert np.array_equal(getattr(flags_forward, column), getattr(flags_reversed, column)), column
     panels_a = twitter_outcomes(flags_forward, forward)
     panels_b = twitter_outcomes(flags_reversed, backward)

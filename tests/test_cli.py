@@ -379,6 +379,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"data error: {name} must be finite, got {value}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--q-steps", "0"], "q_steps must be at least 1, got 0"),
+        (["--q-steps", "-1"], "q_steps must be at least 1, got -1"),
+        (["--grid-n", "1"], "grid_n must be at least 2, got 1"),
+        (["--grid-n", "0"], "grid_n must be at least 2, got 0"),
+        (["--grid-n", "-5"], "grid_n must be at least 2, got -5"),
+        (["--q-min", "nan"], "q_min must be finite, got nan"),
+        (["--q-max", "inf"], "q_max must be finite, got inf"),
+        (["--slope", "nan"], "slope must be finite, got nan"),
+        (["--slope", "inf"], "slope must be finite, got inf"),
+        (["--response", "logistic", "--scale", "nan"], "scale must be finite, got nan"),
+        (["--response", "logistic", "--steepness", "inf"], "steepness must be finite, got inf"),
+        (["--response", "logistic", "--midpoint", "nan"], "midpoint must be finite, got nan"),
+    ])
+    def test_bad_diffusion_grid_or_response_is_configuration_error(
+        self, tmp_path, monkeypatch, capsys, recwarn, flags, message
+    ):
+        code = run_in(tmp_path, monkeypatch, ["diffusion", *flags, "--out", "out"])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not recwarn.list
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_path(self, tmp_path, monkeypatch):
         code = run_in(
             tmp_path, monkeypatch,
@@ -512,6 +535,25 @@ class TestConfigFile:
         (tmp_path / "run.toml").write_text(f"tweets = tweets.csv\nout = {value}\n")
         assert run_in(tmp_path, monkeypatch, ["build-panel", "--config", "run.toml"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.toml", "tweets.csv", value])
+
+    def test_abbreviated_flag_overrides_file(self, tmp_path, monkeypatch):
+        shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")
+        (tmp_path / "run.toml").write_text('tweets = tweets.csv\nout = "from_file"\n')
+        code = run_in(tmp_path, monkeypatch, ["build-panel", "--config", "run.toml", "--ou", "abbr"])
+        assert code == 0
+        assert (tmp_path / "abbr" / "panels" / "users.csv").exists()
+        assert not (tmp_path / "from_file").exists()
+
+    # a misspelt key, another command's key, and an abbreviated key
+    @pytest.mark.parametrize("line", ["tretaed = KE", "mu_c = 3", "ou = x"])
+    def test_key_the_command_does_not_take_is_refused(self, tmp_path, monkeypatch, capsys, line):
+        shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")
+        (tmp_path / "run.toml").write_text(f"tweets = tweets.csv\n{line}\n")
+        code = run_in(tmp_path, monkeypatch, ["build-panel", "--config", "run.toml", "--out", "out"])
+        assert code == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"data error: run.toml: {key} is not a build-panel setting\n"
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_line(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "run.toml").write_text("tweets data/tweets.csv\n")

@@ -79,7 +79,12 @@ OUTCOME_FLAGS = [
 ]
 FALSIFY_FLAGS = [["--cutoff-days", "20"], ["--cutoff-days", "0"]]
 AGGREGATE_FLAGS = [["--levels", "7,10"], ["--levels", "x"], ["--levels", "28"]]
-DIFFUSION_FLAGS = [["--rho", "0.9"], ["--response", "logistic"], ["--q-steps", "1"]]
+DIFFUSION_FLAGS = [
+    ["--rho", "0.9"], ["--response", "logistic"], ["--q-steps", "1"], ["--q-steps", "0"],
+    ["--q-steps", "-1"], ["--grid-n", "1"], ["--grid-n", "0"], ["--grid-n", "-5"],
+    ["--slope", "nan"], ["--slope", "inf"], ["--scale", "nan"], ["--steepness", "inf"],
+    ["--midpoint", "nan"], ["--q-min", "nan"], ["--q-max", "inf"],
+]
 FLAGS = {
     "build-panel": COMMON_FLAGS,
     "estimate": COMMON_FLAGS + OUTCOME_FLAGS,
@@ -154,10 +159,10 @@ def test_every_input_exits_0_2_or_3_with_one_line(
             with open(root / "lexicons" / "student.txt", "ab") as f:
                 f.write(b"\xc3\x28\n")
             argv += ["--lexicons", str(root / "lexicons")]
+        if command in ("diffusion", "all-figures"):
+            argv += ["--grid-n", "51", "--q-steps", "2"]  # a small sweep, unless a flag below sets one
         for flag in flags:
             argv += flag
-        if command in ("diffusion", "all-figures"):
-            argv += ["--grid-n", "51", "--q-steps", "2"]
         argv += ["--out", str(root / "out")]
 
         out, err = io.StringIO(), io.StringIO()
