@@ -49,12 +49,14 @@ from .inference import (
     prepare_outcome,
 )
 from .panel import (
-    EPOCH,
+    DEFAULT_ANCHOR,
     PanelSeries,
     PeriodCalendar,
     SampleRestriction,
+    day_offsets,
     normalize_at_reference,
     utf8_lines,
+    window_periods,
 )
 from .svgplot import LineChart
 
@@ -123,36 +125,22 @@ def _write_svg(path: Path, chart: LineChart) -> None:
 # shared pipeline pieces
 
 
-def _default_t_min(period_days: int) -> int:
-    # roughly 100 days of pre-intervention window
-    return -max(3, round(100 / period_days))
+def _window_days(args, offsets: np.ndarray, pre_factor: int = 1) -> tuple[int, int]:
+    """The run's window as (pre_days, post_days): the days [-pre_days, post_days).
 
-
-def _window(args, span, pre_factor: int = 1) -> tuple[int, int]:
-    """Resolve the panel window; a defaulted t_min never precedes the data.
-
-    `span` is the (first, last) day offset of the data from the anchor,
-    or None when there is no data.
+    `offsets` are the data's day offsets from the anchor. `--t-min` and
+    `--t-max` count periods of `--period-days`. By default the window
+    reaches back `pre_factor` times 100 days, or to the data's first day
+    if that is later, and forward to the data's last day.
     """
-    data_t_min, data_t_max = (d // args.period_days for d in span) if span else (None, None)
-    if args.t_min is not None:
-        t_min = args.t_min
-    else:
-        t_min = pre_factor * _default_t_min(args.period_days)
-        if data_t_min is not None:
-            t_min = max(t_min, min(data_t_min, -1))
-    if args.t_max is not None:
-        t_max = args.t_max
-    else:
-        t_max = max(0, data_t_max) if data_t_max is not None else 0
-    if t_min > t_max:
+    length, default_pre = args.period_days, pre_factor * 100
+    first, last = (int(offsets.min()), int(offsets.max())) if offsets.size else (-default_pre, 0)
+    pre_days = -args.t_min * length if args.t_min is not None else min(default_pre, max(1, -first))
+    post_days = (args.t_max + 1) * length if args.t_max is not None else max(1, last + 1)
+    if pre_days + post_days <= 0:
+        t_min, t_max = window_periods((pre_days, post_days), length)
         raise PanelRangeError(f"empty window: t_min {t_min} is after t_max {t_max}")
-    return t_min, t_max
-
-
-def _day_span(days) -> tuple[int, int] | None:
-    days = np.asarray(days)
-    return (int(days.min()), int(days.max())) if days.size else None
+    return pre_days, post_days
 
 
 class RunInputs:
@@ -191,24 +179,23 @@ class RunInputs:
         return user_period_flags(self.tweets, self.calendar)
 
     @cached_property
-    def events(self) -> tuple[EventColumns, tuple[int, int] | None]:
-        """(the retained events, their (first, last) day offsets or None)."""
+    def events(self) -> EventColumns:
         if not self.args.events:
             raise ConfigurationError("this command needs --events")
-        events = read_events_csv(self.args.events)
-        return events, _day_span(events.day - (self.args.anchor - EPOCH).days)
+        return read_events_csv(self.args.events)
 
     def twitter_panels(self, pre_factor: int = 1) -> dict[str, PanelSeries]:
-        window = _window(self.args, _day_span(self.tweets.day), pre_factor)
-        if window not in self._twitter_panels:
-            self._twitter_panels[window] = twitter_outcomes(
-                self.flags, self.tweets, periods=window
-            )
-        return self._twitter_panels[window]
+        window = _window_days(self.args, self.tweets.day, pre_factor)
+        periods = window_periods(window, self.args.period_days)
+        if periods not in self._twitter_panels:
+            self._twitter_panels[periods] = twitter_outcomes(self.flags, self.tweets, periods=periods)
+        return self._twitter_panels[periods]
 
     def event_panel(self, pre_factor: int = 1) -> PanelSeries:
-        events, span = self.events
-        return event_panel(events, self.calendar, periods=_window(self.args, span, pre_factor))
+        window = _window_days(self.args, day_offsets(self.events.day, self.args.anchor), pre_factor)
+        return event_panel(
+            self.events, self.calendar, periods=window_periods(window, self.args.period_days)
+        )
 
     def prepared(self, outcome: str, pre_factor: int = 1) -> tuple[PanelSeries, EstimatorConfig]:
         """The outcome's estimation panel and period split, from `prepare_outcome`."""
@@ -388,23 +375,13 @@ def cmd_aggregate(args, inputs: RunInputs) -> None:
     outcome = args.outcomes[0]
     if outcome not in OUTCOME_NAMES:
         raise ConfigurationError(f"aggregate takes a Twitter outcome, not {outcome!r}")
-    span = _day_span(inputs.tweets.day)
-    first, last = span if span else (-1, 0)
-    if args.t_min is not None:
-        pre_days = abs(args.t_min) * args.period_days
-    else:
-        pre_days = min(100, max(1, -first))
-    if args.t_max is not None:
-        post_days = (args.t_max + 1) * args.period_days
-    else:
-        post_days = max(1, last + 1)
     results = aggregation_suite(
         inputs.tweets, args.treated,
         levels=tuple(args.levels),
         restriction=SampleRestriction(parameter=args.restriction),
         outcome=outcome,
         transform=_transform(args, outcome),
-        window_days=(pre_days, post_days),
+        window_days=_window_days(args, inputs.tweets.day),
     )
     for level in sorted(results):
         est = results[level]
@@ -470,11 +447,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tweets", type=str, default=None, help="tweet CSV path")
     parser.add_argument("--events", type=str, default=None, help="event CSV path")
     parser.add_argument("--lexicons", type=str, default=None, help="lexicon directory")
-    parser.add_argument("--anchor", type=dt.date.fromisoformat, default=dt.date(2018, 7, 1))
+    parser.add_argument("--anchor", type=dt.date.fromisoformat, default=DEFAULT_ANCHOR)
     parser.add_argument("--period-days", type=int, default=10, choices=(1, 7, 10, 28))
     parser.add_argument("--treated", type=str, default="UG")
     parser.add_argument("--restriction", type=float, default=0.8)
-    parser.add_argument("--t-min", type=int, default=None, help="first panel period (default ~100 pre days)")
+    parser.add_argument("--t-min", type=int, default=None, help="first panel period (default: 100 pre days, or from data)")
     parser.add_argument("--t-max", type=int, default=None, help="last panel period (default: from data)")
     parser.add_argument("--transform", choices=("auto", "level", "log1p"), default="auto")
     parser.add_argument("--out", type=str, default="out")
@@ -608,7 +585,7 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
             args.outcomes = [o for o in args.outcomes if o != "events"]
         if not args.outcomes:
             raise ConfigurationError("no estimable outcomes requested")
-    if hasattr(args, "levels") and isinstance(args.levels, str):
+    if hasattr(args, "levels"):
         try:
             args.levels = [int(x) for x in args.levels.split(",") if x.strip()]
         except ValueError:

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .classify import TWEET_CSV_COLUMNS
+from .events import EVENT_CSV_COLUMNS
+
 _COLLECTIVE_TEXTS = (
     "join the protest downtown",
     "a rally for our rights",
@@ -197,14 +200,6 @@ def generate_event_rows(spec: CorpusSpec) -> list[list[str]]:
     return rows
 
 
-_TWEET_HEADER = [
-    "tweet_id", "user_id", "timestamp", "country_code", "text", "source",
-    "user_created_at", "statuses_count", "user_description", "user_location",
-    "user_lang", "tweet_lang",
-]
-_EVENT_HEADER = ["dataset", "country_code", "date", "event_type"]
-
-
 def write_corpus(out_dir: Path | str, spec: CorpusSpec = CorpusSpec()) -> tuple[Path, Path]:
     """Write tweets.csv and events.csv under out_dir; returns the two paths."""
     out_dir = Path(out_dir)
@@ -213,10 +208,10 @@ def write_corpus(out_dir: Path | str, spec: CorpusSpec = CorpusSpec()) -> tuple[
     events_path = out_dir / "events.csv"
     with open(tweets_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(_TWEET_HEADER)
+        writer.writerow(TWEET_CSV_COLUMNS)
         writer.writerows(generate_tweet_rows(spec))
     with open(events_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(_EVENT_HEADER)
+        writer.writerow(EVENT_CSV_COLUMNS)
         writer.writerows(generate_event_rows(spec))
     return tweets_path, events_path

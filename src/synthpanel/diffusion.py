@@ -96,10 +96,15 @@ class ResponseFunction:
         require_finite(scale=scale, steepness=steepness, midpoint=midpoint)
         if scale <= 0 or steepness <= 0:
             raise ConfigurationError("logistic response needs positive scale and steepness")
-        offset = 1.0 / (1.0 + math.exp(steepness * midpoint))
+        # where exp overflows, 1 / (1 + exp) takes its limit 0
+        try:
+            offset = 1.0 / (1.0 + math.exp(steepness * midpoint))
+        except OverflowError:
+            offset = 0.0
 
         def fn(x):
-            return scale * (1.0 / (1.0 + np.exp(-steepness * (x - midpoint))) - offset)
+            with np.errstate(over="ignore"):
+                return scale * (1.0 / (1.0 + np.exp(-steepness * (x - midpoint))) - offset)
 
         return ResponseFunction(
             form="logistic",
@@ -319,7 +324,8 @@ def equilibria(
 
     When the platform empties for small x the domain is truncated to the
     participation range where joining probability stays above the floor.
-    The grid has `grid_n` points, at least 2.
+    The grid has `grid_n` points, at least 2; a phi that is not finite
+    on it raises ConfigurationError.
     """
     if grid_n < 2:
         raise ConfigurationError(f"grid_n must be at least 2, got {grid_n}")
@@ -330,7 +336,12 @@ def equilibria(
     # joining probability is nondecreasing in x, so feasibility is a suffix
     start = int(np.argmax(feasible))
     sub = grid[start:]
-    points, labels, values = find_fixed_points(lambda x: phi(x, q, v, p), sub)
+    with np.errstate(over="ignore", invalid="ignore"):  # a phi that is not finite is refused
+        points, labels, values = find_fixed_points(lambda x: phi(x, q, v, p), sub)
+    if not np.isfinite(values).all():
+        raise ConfigurationError(
+            f"phi is not finite at price {q}: the response or population values are too extreme"
+        )
     kept = [(x, lab) for x, lab in zip(points, labels) if abs(phi(x, q, v, p) - x) < FIXED_POINT_TOL]
     return EquilibriumSet(
         q=q,

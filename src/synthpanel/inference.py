@@ -11,7 +11,7 @@ import numpy as np
 
 from .classify import TweetTable, twitter_outcomes, user_period_flags
 from .errors import ConfigurationError, DataError, InferenceError, PanelRangeError
-from .panel import PanelSeries, PeriodCalendar, SampleRestriction, restrict_sample
+from .panel import PanelSeries, PeriodCalendar, SampleRestriction, restrict_sample, window_periods
 from .synth import SynthFit, SynthProblem, fit_synth, optimize_v, package_fit
 
 MIN_PLACEBO_DONORS = 5
@@ -86,7 +86,6 @@ def run_unit_fit(
 
 def placebo_distribution(
     panel: PanelSeries,
-    treated: str,
     donors: Sequence[str],
     cfg: EstimatorConfig,
     treated_fit: SynthFit,
@@ -183,7 +182,7 @@ def estimate_with_placebos(
     """Treated fit on every other country plus its scaled placebo distribution."""
     donors = tuple(c for c in panel.countries if c != treated)
     fit = run_unit_fit(panel, treated, donors, cfg)
-    dist = placebo_distribution(panel, treated, donors, cfg, treated_fit=fit)
+    dist = placebo_distribution(panel, donors, cfg, treated_fit=fit)
     return fit, dist
 
 
@@ -307,17 +306,15 @@ def aggregation_suite(
     the table's day offsets, so a level costs no lexicon pass. Each
     level's panels go through `prepare_outcome` with the level's
     fitting-period rule, then `estimate_outcome`, as the CLI's
-    `estimate` does at one period length. `window_days` clips the panel
-    to (pre_days, post_days) around the anchor so every level covers the
-    same calendar span.
+    `estimate` does at one period length. `window_days`, the days
+    (pre_days, post_days) around the anchor, gives each level its
+    `window_periods`, so every level covers the same days; None spans
+    the tweets.
     """
     results = {}
     for level in levels:
         cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
-        periods = None
-        if window_days is not None:
-            pre_days, post_days = window_days
-            periods = (-math.ceil(pre_days / level), math.ceil(post_days / level) - 1)
+        periods = None if window_days is None else window_periods(window_days, level)
         panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
         panel, cfg = prepare_outcome(
             panels[outcome], treated, transform, users=panels["users"],

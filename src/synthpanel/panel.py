@@ -98,6 +98,17 @@ def day_offsets(days: np.ndarray, anchor: dt.date) -> np.ndarray:
     return days - (anchor - EPOCH).days
 
 
+def window_periods(window_days: tuple[int, int], length: int) -> tuple[int, int]:
+    """The (t_min, t_max) periods of length `length` covering a window in days.
+
+    `window_days` is (pre_days, post_days): the days [-pre_days,
+    post_days) around the anchor. The periods round the window out to
+    whole periods, so each length covers at least the same days.
+    """
+    pre_days, post_days = window_days
+    return (-pre_days) // length, -(-post_days // length) - 1  # -ceil, ceil - 1
+
+
 def _out_of_range(day: int) -> PanelRangeError:
     try:
         when = (EPOCH + dt.timedelta(days=day)).isoformat()

@@ -151,10 +151,10 @@ def _active_set(
     alternates equality solves on the support with ratio-test drops and
     most-negative-gradient additions until the support KKT conditions
     hold. Returns (weights, final support, equality solve on it), or None
-    when no such point is found within the cycle cap, or a KKT solve is
-    not finite or not stationary on its support. The weights are
-    clip(target)/sum of that equality solve, so their bits depend only on
-    (A, b, final support).
+    when no such point is found within the cycle cap, a KKT solve is not
+    finite or not stationary on its support, or a drop leaves no weight.
+    The weights are clip(target)/sum of that equality solve, so their
+    bits depend only on (A, b, final support).
     """
     n = b.size
     for _ in range(8 * n + 16):
@@ -186,7 +186,10 @@ def _active_set(
             w = np.clip(w + max(0.0, float(steps[k_drop])) * direction, 0.0, None)
             w[movers[k_drop]] = 0.0
             support[movers[k_drop]] = False
-            w = w / w.sum()
+            total = w.sum()
+            if total <= 0.0:  # the drop left no weight to rescale
+                return None
+            w = w / total
     return None
 
 

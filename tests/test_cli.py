@@ -174,7 +174,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("window, message", [
         (["--t-min", "0"], "panel has no pre-intervention periods"),
         (["--t-max", "-1"], "panel has no post-intervention periods"),
-    ], ids=["no-pre", "no-post"])
+        (["--t-min", "1"], "panel has no pre-intervention periods"),
+    ], ids=["no-pre", "no-post", "positive-t-min"])
     def test_window_without_pre_or_post_is_range_error(
         self, corpus_dir, tmp_path, monkeypatch, capsys, command, window, message
     ):
@@ -276,7 +277,8 @@ class TestExitCodes:
         ["build-panel", "--tweets", str(DATA / "tweets_fixture.csv")],
         ["estimate", "--tweets", str(DATA / "tweets_fixture.csv")],
         ["build-panel", "--events", str(DATA / "events_fixture.csv")],
-    ], ids=["tweets", "estimate", "events"])
+        ["aggregate", "--tweets", str(DATA / "tweets_fixture.csv")],
+    ], ids=["tweets", "estimate", "events", "aggregate"])
     def test_inverted_window_is_range_error(self, tmp_path, monkeypatch, capsys, argv):
         code = run_in(tmp_path, monkeypatch, [*argv, "--t-min", "5", "--out", "out"])
         assert code == 2
@@ -392,6 +394,8 @@ class TestExitCodes:
         (["--response", "logistic", "--scale", "nan"], "scale must be finite, got nan"),
         (["--response", "logistic", "--steepness", "inf"], "steepness must be finite, got inf"),
         (["--response", "logistic", "--midpoint", "nan"], "midpoint must be finite, got nan"),
+        (["--slope", "1e308"],
+         "phi is not finite at price 0.0: the response or population values are too extreme"),
     ])
     def test_bad_diffusion_grid_or_response_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, recwarn, flags, message
@@ -401,6 +405,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not recwarn.list
         assert not (tmp_path / "out").exists()
+
+    def test_steep_logistic_response_takes_its_limit(self, tmp_path, monkeypatch, recwarn):
+        # exp(steepness * midpoint) overflows; 1 / (1 + exp) is then its limit 0
+        code = run_in(tmp_path, monkeypatch, [
+            "diffusion", "--response", "logistic", "--steepness", "2000", "--out", "out",
+        ])
+        assert code == 0
+        assert not recwarn.list
+        phi = read_rows(tmp_path / "out" / "diffusion" / "phi_curves.csv")
+        assert all(np.isfinite(float(r["phi"])) for r in phi)
+        labels: dict = {}
+        for r in read_rows(tmp_path / "out" / "diffusion" / "equilibria.csv"):
+            labels.setdefault(r["q"], []).append(r["stability"])
+        assert len(labels) == 5
+        assert all(found == ["stable", "tipping", "stable"] for found in labels.values())
 
     def test_missing_input_path(self, tmp_path, monkeypatch):
         code = run_in(
@@ -468,15 +487,21 @@ class TestFalsifyAndAggregate:
         assert err.count("\n") == 1
 
     def test_aggregate_weekly_level_runs(self, corpus_dir, tmp_path, monkeypatch):
+        tweets = ["--tweets", str(corpus_dir / "tweets.csv"), "--period-days", "7"]
         code = run_in(
             tmp_path, monkeypatch,
-            ["aggregate", "--tweets", str(corpus_dir / "tweets.csv"),
-             "--levels", "7", "--outcome", "users", "--out", "out"],
+            ["aggregate", *tweets, "--levels", "7", "--outcome", "users", "--out", "out"],
         )
         assert code == 0
         rows = read_rows(tmp_path / "out" / "aggregate" / "level_07_effects.csv")
         post = [float(r["effect"]) for r in rows if int(r["period"]) >= 0]
         assert np.mean(post) < 0.0  # drop recovered at the weekly level too
+        # the weekly panel covers the same weeks in every command
+        assert run_in(tmp_path, monkeypatch, ["build-panel", *tweets, "--out", "out"]) == 0
+        users = read_rows(tmp_path / "out" / "panels" / "users.csv")
+        periods = sorted({int(r["period"]) for r in users})
+        assert periods == [int(r["period"]) for r in rows]
+        assert periods[0] == -15  # 100 pre days, rounded out to whole weeks
 
 
 class TestDiffusionCommand:
@@ -696,11 +721,27 @@ class TestSharedIngest:
         root, _ = all_figures_run
         inputs = ["--tweets", str(root / "data" / "tweets.csv"),
                   "--events", str(root / "data" / "events.csv")]
-        for command in ("estimate", "placebo", "falsify"):
-            argv = [command, *inputs, *OUTCOMES, "--out", str(root / "alone")]
+        for command, flags, out in (
+            ("build-panel", [], "panels"),
+            ("estimate", OUTCOMES, "estimate"),
+            ("placebo", OUTCOMES, "placebo"),
+            ("falsify", OUTCOMES, "falsify"),
+            ("aggregate", ["--outcome", "users", "--levels", "1,7,10,28"], "aggregate"),
+        ):
+            argv = [command, *inputs, *flags, "--out", str(root / "alone")]
             assert run_in(root, monkeypatch, argv) == 0
-            produced = sorted((root / "all" / command).iterdir())
-            alone = sorted((root / "alone" / command).iterdir())
+            produced = sorted((root / "all" / out).iterdir())
+            alone = sorted((root / "alone" / out).iterdir())
             assert [p.name for p in produced] == [p.name for p in alone]
             for p, q in zip(produced, alone):
                 assert without_provenance(p) == without_provenance(q), p.name
+
+
+class TestWindow:
+    def test_weekly_default_window_is_rounded_out_to_whole_weeks(self, all_figures_run):
+        root, _ = all_figures_run
+        args = cli._resolve(["falsify", "--tweets", str(root / "data" / "tweets.csv"),
+                             "--period-days", "7", "--outcome", "users"])
+        inputs = cli.RunInputs(args)
+        assert inputs.prepared("users")[0].t_min == -15  # 100 days back
+        assert inputs.prepared("users", pre_factor=2)[0].t_min == -29  # falsify's 200 days back

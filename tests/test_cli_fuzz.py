@@ -83,7 +83,8 @@ DIFFUSION_FLAGS = [
     ["--rho", "0.9"], ["--response", "logistic"], ["--q-steps", "1"], ["--q-steps", "0"],
     ["--q-steps", "-1"], ["--grid-n", "1"], ["--grid-n", "0"], ["--grid-n", "-5"],
     ["--slope", "nan"], ["--slope", "inf"], ["--scale", "nan"], ["--steepness", "inf"],
-    ["--midpoint", "nan"], ["--q-min", "nan"], ["--q-max", "inf"],
+    ["--midpoint", "nan"], ["--q-min", "nan"], ["--q-max", "inf"], ["--slope", "1e308"],
+    ["--response", "logistic", "--steepness", "2000"],
 ]
 FLAGS = {
     "build-panel": COMMON_FLAGS,

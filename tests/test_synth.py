@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,21 @@ class TestWarmStart:
             synth._solve_simplex_qp(A, b)
         start = np.array([0.0, 1.0])
         assert np.array_equal(synth._solve_simplex_qp(A, b, start), start)
+
+    def test_warm_start_left_without_weight_falls_back_to_cold(self):
+        # so badly scaled that lstsq truncates the equality solve on donor 0
+        # alone to a negative weight: the ratio test drops the only support
+        # donor and leaves no weight, so the warm attempt ends and the cold
+        # solve runs
+        A = np.array([[5.33e7, -5.24e6], [-5.24e6, 2.66e6]])
+        b = np.array([-2.12e7, 8.77e6])
+        start = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert synth._active_set(A, b, start.copy(), start > 0) is None
+            cold = synth._solve_simplex_qp(A, b)
+            assert np.array_equal(cold, [0.0, 1.0])
+            assert np.array_equal(synth._solve_simplex_qp(A, b, start), cold)
 
     def full_rank_qp(self):
         problem = random_problem(3, n_donors=4, n_pre=6)
