@@ -1,8 +1,9 @@
 """Command-line pipeline: one subcommand per figure-style artifact.
 
 Every command is a pure function of its resolved configuration and the
-input files; reruns produce byte-identical CSV and SVG output. Exit code
-2 signals a data problem, 3 an inference degeneracy.
+input files; reruns produce byte-identical CSV and SVG output. `main()`
+writes a command's files and prints its lines once it has succeeded.
+Exit code 2 signals a data problem, 3 an inference degeneracy.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import sys
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +52,12 @@ from .inference import (
 )
 from .panel import (
     DEFAULT_ANCHOR,
+    EPOCH,
+    _LAST_DAY,
     PanelSeries,
     PeriodCalendar,
     SampleRestriction,
+    _out_of_range,
     day_offsets,
     normalize_at_reference,
     utf8_lines,
@@ -121,6 +126,13 @@ def _write_svg(path: Path, chart: LineChart) -> None:
     path.write_text(chart.render(), encoding="utf-8")
 
 
+class Output(NamedTuple):
+    """A command's files, each (path under --out, CSV (header, rows) or LineChart), and stdout lines."""
+
+    files: list[tuple[str, tuple[list[str], list[list]] | LineChart]]
+    lines: list[str]
+
+
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
@@ -131,15 +143,19 @@ def _window_days(args, offsets: np.ndarray, pre_factor: int = 1) -> tuple[int, i
     `offsets` are the data's day offsets from the anchor. `--t-min` and
     `--t-max` count periods of `--period-days`. By default the window
     reaches back `pre_factor` times 100 days, or to the data's first day
-    if that is later, and forward to the data's last day.
+    if that is later, and forward to the data's last day. A window that
+    leaves 1970-2100 raises PanelRangeError.
     """
-    length, default_pre = args.period_days, pre_factor * 100
+    length, default_pre, anchor = args.period_days, pre_factor * 100, (args.anchor - EPOCH).days
     first, last = (int(offsets.min()), int(offsets.max())) if offsets.size else (-default_pre, 0)
     pre_days = -args.t_min * length if args.t_min is not None else min(default_pre, max(1, -first))
     post_days = (args.t_max + 1) * length if args.t_max is not None else max(1, last + 1)
     if pre_days + post_days <= 0:
         t_min, t_max = window_periods((pre_days, post_days), length)
         raise PanelRangeError(f"empty window: t_min {t_min} is after t_max {t_max}")
+    for edge, day in (("starts", anchor - pre_days), ("ends", anchor + post_days - 1)):
+        if not 0 <= day <= _LAST_DAY:
+            raise _out_of_range(day, f"window {edge}")
     return pre_days, post_days
 
 
@@ -224,12 +240,11 @@ def _transform(args, outcome: str) -> str:
     return args.transform
 
 
-def _write_effects(stem: Path, prov: str, outcome: str, est: OutcomeEstimate, title: str) -> None:
-    """`stem`.csv, the estimate's effects and bands per period, and `stem`.svg, their chart."""
+def _effects(stem: str, outcome: str, est: OutcomeEstimate, title: str) -> list:
+    """Files `stem`.csv, the estimate's effects and bands per period, and `stem`.svg, their chart."""
     periods, effects, bands, dist = list(est.panel.periods), est.fit.effects, est.bands, est.dist
     excluded = ";".join(d for d, _ in dist.excluded)
-    _write_csv(
-        stem.with_suffix(".csv"), prov,
+    table = (
         ["outcome", "period", "effect", "band_lo", "band_hi", "n_placebos", "excluded_donors"],
         [[outcome, t, _fmt(effects[i]), _fmt(bands[0, i]), _fmt(bands[1, i]), dist.n_placebos, excluded]
          for i, t in enumerate(periods)],
@@ -237,26 +252,25 @@ def _write_effects(stem: Path, prov: str, outcome: str, est: OutcomeEstimate, ti
     chart = LineChart(title=title, x_label="period", y_label="effect", vline=-0.5, hline=0.0)
     chart.add_band(periods, bands[0], bands[1])
     chart.add_series("effect", periods, effects)
-    _write_svg(stem.with_suffix(".svg"), chart)
+    return [(f"{stem}.csv", table), (f"{stem}.svg", chart)]
 
 
-def _averaged_text(averaged: AveragedEffect) -> str:
+def _averaged_text(averaged: AveragedEffect, label: str = "averaged post effect") -> str:
     lo, hi = averaged.band
-    return f"averaged post effect {averaged.value:+.4f} band [{lo:+.4f}, {hi:+.4f}]"
+    return f"{label} {averaged.value:+.4f} band [{lo:+.4f}, {hi:+.4f}]"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_build_panel(args, inputs: RunInputs) -> None:
-    out = Path(args.out) / "panels"
-    prov = _provenance(args)
+def cmd_build_panel(args, inputs: RunInputs) -> Output:
     panels = dict(inputs.twitter_panels()) if args.tweets else {}
     if args.events:
         panels["events"] = inputs.event_panel()
     if not panels:
         raise ConfigurationError("build-panel needs --tweets and/or --events")
+    files = []
     for name in sorted(panels):
         panel = panels[name]
         rows = []
@@ -264,29 +278,25 @@ def cmd_build_panel(args, inputs: RunInputs) -> None:
             for pi, t in enumerate(panel.periods):
                 flagged = int(bool(panel.flagged[ci, pi])) if panel.flagged is not None else 0
                 rows.append([country, t, _fmt(panel.values[ci, pi]), flagged])
-        _write_csv(out / f"{name}.csv", prov, ["country", "period", "value", "flagged"], rows)
-    print(f"wrote {len(panels)} panels to {out}")
+        files.append((f"panels/{name}.csv", (["country", "period", "value", "flagged"], rows)))
+    return Output(files, [f"wrote {len(panels)} panels to {Path(args.out, 'panels')}"])
 
 
-def cmd_estimate(args, inputs: RunInputs) -> None:
-    out = Path(args.out) / "estimate"
-    prov = _provenance(args)
+def cmd_estimate(args, inputs: RunInputs) -> Output:
+    files, lines = [], []
     for outcome in args.outcomes:
         est = inputs.estimate(outcome)
         panel, fit, dist, averaged = est.panel, est.fit, est.dist, est.averaged
-        _write_effects(out / f"{outcome}_effects", prov, outcome, est, f"Treatment effect: {outcome}")
+        files += _effects(f"estimate/{outcome}_effects", outcome, est, f"Treatment effect: {outcome}")
         donors = [d for d in panel.countries if d != args.treated]
         order = np.argsort(-fit.weights.w, kind="stable")
-        _write_csv(
-            out / f"{outcome}_weights.csv", prov, ["donor", "weight"],
-            [[donors[j], _fmt(fit.weights.w[j])] for j in order],
-        )
-        _write_csv(
-            out / f"{outcome}_averaged.csv", prov,
+        weights = [[donors[j], _fmt(fit.weights.w[j])] for j in order]
+        files.append((f"estimate/{outcome}_weights.csv", (["donor", "weight"], weights)))
+        files.append((f"estimate/{outcome}_averaged.csv", (
             ["outcome", "value", "band_lo", "band_hi", "n_placebos"],
             [[outcome, _fmt(averaged.value), _fmt(averaged.band[0]),
               _fmt(averaged.band[1]), dist.n_placebos]],
-        )
+        )))
 
         periods = list(panel.periods)
         treated_series = panel.series(args.treated)
@@ -307,13 +317,13 @@ def cmd_estimate(args, inputs: RunInputs) -> None:
                 f"{donors[j]} (shifted)", periods,
                 normalize_at_reference(treated_series, panel.series(donors[j]), periods),
             )
-        _write_svg(out / f"{outcome}_paths.svg", paths_chart)
-        print(f"{outcome}: {_averaged_text(averaged)}")
+        files.append((f"estimate/{outcome}_paths.svg", paths_chart))
+        lines.append(f"{outcome}: {_averaged_text(averaged)}")
+    return Output(files, lines)
 
 
-def cmd_placebo(args, inputs: RunInputs) -> None:
-    out = Path(args.out) / "placebo"
-    prov = _provenance(args)
+def cmd_placebo(args, inputs: RunInputs) -> Output:
+    files, lines = [], []
     for outcome in args.outcomes:
         dist = inputs.estimate(outcome).dist
         rows = []
@@ -323,38 +333,25 @@ def cmd_placebo(args, inputs: RunInputs) -> None:
                     outcome, donor, t, _fmt(dist.raw_effects[di, pi]),
                     _fmt(dist.scaled_effects[di, pi]), _fmt(dist.sigmas[di]),
                 ])
-        _write_csv(
-            out / f"{outcome}_placebos.csv", prov,
+        files.append((f"placebo/{outcome}_placebos.csv", (
             ["outcome", "donor", "period", "raw_effect", "scaled_effect", "sigma"], rows,
-        )
-        _write_csv(
-            out / f"{outcome}_excluded.csv", prov, ["donor", "reason"],
-            [[d, reason] for d, reason in dist.excluded],
-        )
-        print(f"{outcome}: {dist.n_placebos} placebos, {len(dist.excluded)} excluded")
+        )))
+        excluded = [[d, reason] for d, reason in dist.excluded]
+        files.append((f"placebo/{outcome}_excluded.csv", (["donor", "reason"], excluded)))
+        lines.append(f"{outcome}: {dist.n_placebos} placebos, {len(dist.excluded)} excluded")
+    return Output(files, lines)
 
 
-def cmd_falsify(args, inputs: RunInputs) -> None:
-    out = Path(args.out) / "falsify"
-    prov = _provenance(args)
-    rows = []
+def cmd_falsify(args, inputs: RunInputs) -> Output:
+    rows, lines = [], []
     for outcome in args.outcomes:
         # need the fitting window plus the held-out window of pre data
         panel, _ = inputs.prepared(outcome, pre_factor=2)
         averaged = falsification_run(
             panel, args.treated, args.period_days, cutoff_days=args.cutoff_days
         )
-        rows.append([
-            outcome, _fmt(averaged.value), _fmt(averaged.band[0]), _fmt(averaged.band[1]),
-        ])
-        print(
-            f"falsification {outcome}: {averaged.value:+.4f} "
-            f"band [{averaged.band[0]:+.4f}, {averaged.band[1]:+.4f}]"
-        )
-    _write_csv(
-        out / "falsification.csv", prov,
-        ["outcome", "value", "band_lo", "band_hi"], rows,
-    )
+        rows.append([outcome, _fmt(averaged.value), _fmt(averaged.band[0]), _fmt(averaged.band[1])])
+        lines.append(_averaged_text(averaged, f"falsification {outcome}:"))
     chart = LineChart(
         title=f"Falsification: averaged effects over held-out {args.cutoff_days} pre days",
         x_label="outcome index", y_label="averaged effect", hline=0.0,
@@ -362,12 +359,11 @@ def cmd_falsify(args, inputs: RunInputs) -> None:
     xs = list(range(len(rows)))
     chart.add_band(xs, [float(r[2]) for r in rows], [float(r[3]) for r in rows])
     chart.add_series("averaged effect", xs, [float(r[1]) for r in rows])
-    _write_svg(out / "falsification.svg", chart)
+    table = (["outcome", "value", "band_lo", "band_hi"], rows)
+    return Output([("falsify/falsification.csv", table), ("falsify/falsification.svg", chart)], lines)
 
 
-def cmd_aggregate(args, inputs: RunInputs) -> None:
-    out = Path(args.out) / "aggregate"
-    prov = _provenance(args)
+def cmd_aggregate(args, inputs: RunInputs) -> Output:
     if not args.tweets:
         raise ConfigurationError("aggregate needs --tweets")
     if len(args.outcomes) != 1:
@@ -383,16 +379,16 @@ def cmd_aggregate(args, inputs: RunInputs) -> None:
         transform=_transform(args, outcome),
         window_days=_window_days(args, inputs.tweets.day),
     )
+    files, lines = [], []
     for level in sorted(results):
         est = results[level]
-        _write_effects(out / f"level_{level:02d}_effects", prov, outcome, est,
-                       f"{outcome} at {level}-day aggregation")
-        print(f"level {level}d: {_averaged_text(est.averaged)}")
+        files += _effects(f"aggregate/level_{level:02d}_effects", outcome, est,
+                          f"{outcome} at {level}-day aggregation")
+        lines.append(f"level {level}d: {_averaged_text(est.averaged)}")
+    return Output(files, lines)
 
 
-def cmd_diffusion(args, inputs: RunInputs) -> None:
-    out = Path(args.out) / "diffusion"
-    prov = _provenance(args)
+def cmd_diffusion(args, inputs: RunInputs) -> Output:
     params = PopulationParams(
         mu_c=args.mu_c, mu_w=args.mu_w, sigma_c=args.sigma_c,
         sigma_w=args.sigma_w, rho=args.rho,
@@ -416,26 +412,20 @@ def cmd_diffusion(args, inputs: RunInputs) -> None:
         for x_star, label in zip(eq.fixed_points, eq.labels):
             eq_rows.append([_fmt(q), _fmt(x_star), label])
         chart.add_series(f"q={q:.3g}", list(eq.grid_x), list(eq.grid_phi))
-    _write_csv(out / "phi_curves.csv", prov, ["q", "x", "phi"], curve_rows)
-    _write_csv(out / "equilibria.csv", prov, ["q", "x_star", "stability"], eq_rows)
-    _write_svg(out / "phi.svg", chart)
-    print(f"wrote diffusion curves for {len(qs)} prices to {out}")
+    return Output([
+        ("diffusion/phi_curves.csv", (["q", "x", "phi"], curve_rows)),
+        ("diffusion/equilibria.csv", (["q", "x_star", "stability"], eq_rows)),
+        ("diffusion/phi.svg", chart),
+    ], [f"wrote diffusion curves for {len(qs)} prices to {Path(args.out, 'diffusion')}"])
 
 
-def cmd_all_figures(args, inputs: RunInputs) -> None:
-    cmd_build_panel(args, inputs)
-    cmd_estimate(args, inputs)
-    cmd_placebo(args, inputs)
-    cmd_falsify(args, inputs)
+def cmd_all_figures(args, inputs: RunInputs) -> Output:
+    outputs = [step(args, inputs) for step in (cmd_build_panel, cmd_estimate, cmd_placebo, cmd_falsify)]
     if args.tweets:
-        saved = args.outcomes
-        args.outcomes = ["users"]
-        try:
-            cmd_aggregate(args, inputs)
-        finally:
-            args.outcomes = saved
-    cmd_diffusion(args, inputs)
-    print("all artifacts written")
+        outputs.append(cmd_aggregate(argparse.Namespace(**{**vars(args), "outcomes": ["users"]}), inputs))
+    outputs.append(cmd_diffusion(args, inputs))
+    lines = [line for output in outputs for line in output.lines]
+    return Output([file for output in outputs for file in output.files], lines + ["all artifacts written"])
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +590,15 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(argv)
-        args.func(args, RunInputs(args))
+        output = args.func(args, RunInputs(args))
+        provenance = _provenance(args)
+        for path, content in output.files:
+            if isinstance(content, LineChart):
+                _write_svg(Path(args.out, path), content)
+            else:
+                _write_csv(Path(args.out, path), provenance, *content)
+        for line in output.lines:
+            print(line)
         return 0
     except InferenceError as exc:
         print(f"inference error: {exc}", file=sys.stderr)

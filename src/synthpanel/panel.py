@@ -109,12 +109,12 @@ def window_periods(window_days: tuple[int, int], length: int) -> tuple[int, int]
     return (-pre_days) // length, -(-post_days // length) - 1  # -ceil, ceil - 1
 
 
-def _out_of_range(day: int) -> PanelRangeError:
+def _out_of_range(day: int, what: str = "timestamp") -> PanelRangeError:
     try:
         when = (EPOCH + dt.timedelta(days=day)).isoformat()
     except OverflowError:  # a UTC day can fall one day outside years 1-9999
         when = f"{day} days from 1970-01-01"
-    return PanelRangeError(f"timestamp {when} outside supported range 1970-2100")
+    return PanelRangeError(f"{what} {when} outside supported range 1970-2100")
 
 
 @dataclass(frozen=True, eq=False)

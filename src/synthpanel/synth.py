@@ -246,8 +246,8 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
 def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Minimize w'Aw - 2b'w over the simplex by a primal active-set method.
 
-    The cold solve starts at uniform weights with every donor in the
-    working support, and raises InferenceError when it finds no optimum.
+    The cold solve starts at uniform weights on every donor. If it finds no
+    optimum, it reruns once at a power-of-two scale, then raises InferenceError.
     Given simplex weights `start`, the method first runs warm from them,
     with working support start > 0. That answer is kept only when its
     final support is certified (`_certified`): the cold solve then ends
@@ -265,6 +265,9 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
         except np.linalg.LinAlgError:
             pass
     cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
+    if cold is None:  # retry once with max|A| scaled into [1, 2), exactly, by a power of two
+        scale = np.ldexp(1.0, 1 - np.frexp(np.abs(A).max())[1])
+        cold = _active_set(A * scale, b * scale, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
     if cold is None:
         raise InferenceError(f"simplex weight solver found no optimum for {n} donors")
     return cold[0]

@@ -13,6 +13,7 @@ from synthpanel import classify, cli, inference, synth
 from synthpanel.classify import DEFAULT_LEXICON_DIR
 from synthpanel.cli import main
 from synthpanel.demo import CorpusSpec, write_corpus
+from synthpanel.errors import PanelRangeError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -300,6 +301,18 @@ class TestExitCodes:
         assert "outside supported range" in err
         assert err.count("\n") == 1
 
+    def test_window_before_1970_is_range_error(self, tmp_path, monkeypatch, capsys):
+        # 18000 days before the 2018-07-01 anchor
+        code = run_in(tmp_path, monkeypatch, [
+            "build-panel", "--tweets", str(DATA / "tweets_fixture.csv"),
+            "--period-days", "1", "--t-min", "-18000", "--out", "out",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: window starts 1969-03-20 outside supported range 1970-2100\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["tweets", "events", "config", "lexicons"])
     def test_non_utf8_input_names_the_file(self, tmp_path, monkeypatch, capsys, kind):
         tweets = (DATA / "tweets_fixture.csv").read_bytes()
@@ -427,6 +440,40 @@ class TestExitCodes:
             ["build-panel", "--tweets", "no_such.csv", "--out", "out"],
         )
         assert code == 2
+
+
+class TestNoPartialOutput:
+    """A command that fails writes no file and prints no stdout line."""
+
+    def test_failing_all_figures_writes_nothing(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        # the corpus has 100 pre days, so falsify, the fourth step, finds no
+        # fitting periods before its 100 held-out days
+        code = run_in(tmp_path, monkeypatch, [
+            "all-figures", "--tweets", str(corpus_dir / "tweets.csv"),
+            "--events", str(corpus_dir / "events.csv"), "--out", "out",
+        ])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "data error: cutoff of 100 days leaves no fitting periods (panel starts at -10)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_command_failing_on_its_second_outcome_writes_nothing(
+        self, corpus_dir, tmp_path, monkeypatch, capsys
+    ):
+        rows = (corpus_dir / "events.csv").read_text().splitlines()
+        (tmp_path / "events.csv").write_text(
+            "\n".join(r for r in rows if r.split(",")[1] != "UG") + "\n"
+        )
+        code = run_in(tmp_path, monkeypatch, [
+            "estimate", "--tweets", str(corpus_dir / "tweets.csv"), "--events", "events.csv",
+            "--outcome", "users,events", "--out", "out",
+        ])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "data error: treated country 'UG' not in the restricted panel\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestFalsifyAndAggregate:
@@ -745,3 +792,16 @@ class TestWindow:
         inputs = cli.RunInputs(args)
         assert inputs.prepared("users")[0].t_min == -15  # 100 days back
         assert inputs.prepared("users", pre_factor=2)[0].t_min == -29  # falsify's 200 days back
+
+    @pytest.mark.parametrize("flag, edge", [("--t-min=-100000000", "starts"), ("--t-max=100000000", "ends")])
+    def test_window_outside_1970_to_2100_is_refused(self, flag, edge):
+        # refused from the flags alone, before any panel of that size exists
+        args = cli._resolve(["estimate", flag])
+        with pytest.raises(PanelRangeError, match=f"^window {edge} .* outside supported range 1970-2100$"):
+            cli._window_days(args, np.zeros(0, dtype=np.int64))
+
+    def test_default_window_at_an_early_anchor_is_kept(self):
+        # the data starts 31 days before the anchor, on 1970-01-01: the
+        # default window reaches back only that far
+        args = cli._resolve(["estimate", "--anchor", "1970-02-01", "--period-days", "7"])
+        assert cli._window_days(args, np.array([-31, 5])) == (31, 6)

@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgp import factor_panel, noiseless_hull_panel, TREATED
-from oracles import grid_search_fiber, grid_search_full
+from oracles import grid_search, grid_search_fiber, grid_search_full, objective_direct
 from synthpanel import synth
 from synthpanel.errors import DataError, InferenceError
 from synthpanel.panel import PanelSeries
@@ -427,12 +429,13 @@ class TestWarmStart:
 
     def test_non_stationary_cold_answer_is_refused(self):
         # scaled so badly that lstsq truncates the KKT system on both donors:
-        # its answer is not stationary there. The minimizer is [0, 1], which
-        # the warm start from it finds and certifies
+        # its answer is not stationary there, so the cold run refuses it. The
+        # rerun at a power-of-two scale finds the minimizer [0, 1], which the
+        # warm start from it also finds and certifies
         A = np.array([[4.64840963e8, 2.89633425e7], [2.89633425e7, 1.01375109e7]])
         b = np.array([17709968.50410161, 1664059.01463281])
-        with pytest.raises(InferenceError, match="no optimum"):
-            synth._solve_simplex_qp(A, b)
+        assert synth._active_set(A, b, np.full(2, 0.5), np.ones(2, dtype=bool)) is None
+        assert np.array_equal(synth._solve_simplex_qp(A, b), [0.0, 1.0])
         start = np.array([0.0, 1.0])
         assert np.array_equal(synth._solve_simplex_qp(A, b, start), start)
 
@@ -480,3 +483,38 @@ class TestWarmStart:
 
         monkeypatch.setattr(synth, "_equality_solve", first_solve_fails)
         assert np.array_equal(synth._solve_simplex_qp(A, b, np.array([0.1, 0.2, 0.3, 0.4])), cold)
+
+
+@st.composite
+def scaled_qps(draw):
+    """(x0, X1, v, scale): unit-scale data of a V-search QP on 2-3 donors, and a scale of 1e2 to 1e6."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    p = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(min_value=2, max_value=6))
+    return rng.normal(size=p), rng.normal(size=(p, n)), rng.dirichlet(np.ones(p)), scale
+
+
+class TestScaledData:
+    @given(scaled_qps())
+    @settings(max_examples=200)
+    def test_large_values_solve_to_the_grid_optimum(self, qp):
+        # the cold run refuses many of these QPs as not stationary; the rerun
+        # at a power-of-two scale must find the minimizer the unit-scale data
+        # has, judged by the grid oracle on that data
+        x0, X1, v, scale = qp
+        big_x0, big_X1 = scale * x0, scale * X1
+        w = synth._solve_simplex_qp(big_X1.T @ (v[:, None] * big_X1), big_X1.T @ (v * big_x0))
+        assert objective_direct(x0, X1, v, w[None])[0] <= grid_search(x0, X1, v, 0.001) + 1e-8
+
+    def test_rank_deficient_qp_from_the_demo_corpus(self):
+        # the V-search QP on which `aggregate --transform level --outcome
+        # tweets` stopped on the default demo corpus: max|A| 5.9e4, rank 2 of
+        # 7. The cold run refuses it; the rerun reaches SLSQP's optimum on the
+        # same QP scaled to unit size
+        qp = json.loads((Path(__file__).parent / "data" / "scaled_qp.json").read_text())
+        A = np.array([[float.fromhex(x) for x in row] for row in qp["A"]])
+        b = np.array([float.fromhex(x) for x in qp["b"]])
+        assert synth._active_set(A, b, np.full(7, 1 / 7), np.ones(7, dtype=bool)) is None
+        w = synth._solve_simplex_qp(A, b)
+        assert w @ A @ w - 2.0 * b @ w == pytest.approx(-46749.1212121, abs=1e-6)
