@@ -365,6 +365,37 @@ class TestOptimizeV:
                 assert score >= best - 1e-15, (i, direction)
 
 
+V_SEARCH_GOLDEN = json.loads((Path(__file__).parent / "data" / "v_search_golden.json").read_text())["cases"]
+
+
+def from_hex(values):
+    return np.array([float.fromhex(x) for x in values])
+
+
+class TestVSearchGolden:
+    """V searches captured from all-figures, replayed bit for bit.
+
+    The CSV outputs print 12 significant digits, so they can hide a change
+    in the last bit of v or w; these cases compare the bits themselves.
+    """
+
+    @pytest.mark.parametrize("case", V_SEARCH_GOLDEN, ids=[case["id"] for case in V_SEARCH_GOLDEN])
+    def test_same_bits_as_captured(self, case):
+        countries = (case["treated"], *case["donors"])
+        first, last = case["periods"]
+        panel = PanelSeries("y", countries, tuple(range(first, last + 1)),
+                            np.array([from_hex(row) for row in case["rows"]]))
+        problem = SynthProblem(
+            case["treated"], tuple(case["donors"]), tuple(case["pre_periods"]),
+            tuple(case["all_pre_periods"]), tuple(case["post_periods"]), panel,
+        )
+        assert np.array_equal(problem.x0, from_hex(case["x0"]))
+        assert np.array_equal(problem.X1, np.array([from_hex(row) for row in case["X1"]]))
+        v, w = optimize_v(problem)
+        assert [x.hex() for x in v.tolist()] == case["v"]
+        assert [x.hex() for x in w.w.tolist()] == case["w"]
+
+
 @st.composite
 def warm_started_qps(draw):
     """(A, b, start) of a V-search QP with V on 1-3 periods, and an incumbent.
