@@ -122,59 +122,61 @@ class SynthFit:
     rmse_pre: float
 
 
-def _equality_solve(A: np.ndarray, b: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray | None:
+def _equality_solve(A2: np.ndarray, b2: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray | None:
     """Minimizer over {w: sum w = 1, w zero off idx}, ignoring nonnegativity.
 
-    Least-squares on the KKT system handles rank-deficient supports
-    (duplicate donors) deterministically.
+    Least-squares on the KKT system [[2A, 1], [1', 0]] on idx (A2 = 2A, b2 = 2b)
+    handles rank-deficient supports (duplicate donors) deterministically. The
+    bits are lstsq's: however the KKT array is built, the same values must reach it.
     """
     k = idx.size
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * A[idx][:, idx]
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * b[idx], [1.0]])
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
+    kkt[:k, :k] = A2.take(idx, 0).take(idx, 1)
+    kkt[k, :k] = kkt[:k, k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[:k], rhs[k] = b2[idx], 1.0
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    if not np.isfinite(sol).all():
         return None
     target = np.zeros(n)
     target[idx] = sol[:k]
     return target
 
 
-def _active_set(
-    A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """Primal active-set method for w'Aw - 2b'w on the simplex.
 
-    Starts at the feasible `w`, zero off the working `support`, then
-    alternates equality solves on the support with ratio-test drops and
-    most-negative-gradient additions until the support KKT conditions
-    hold. Returns (weights, final support, equality solve on it), or None
-    when no such point is found within the cycle cap, a KKT solve is not
-    finite or not stationary on its support, or a drop leaves no weight.
-    The weights are clip(target)/sum of that equality solve, so their
-    bits depend only on (A, b, final support).
+    Starts at the feasible `w` (left unmodified), zero off the working
+    `support`, then alternates equality solves on the support with
+    ratio-test drops and most-negative-gradient additions until the
+    support KKT conditions hold. Returns (weights, final support, equality
+    solve on it, gradient 2(Aw - b) at the weights, for `_certified`), or
+    None when no such point is found within the cycle cap, a KKT solve is
+    not finite or not stationary on its support, or a drop leaves no
+    weight. The weights are clip(target)/sum of that equality solve, so
+    their bits depend only on (A, b, final support).
     """
     n = b.size
+    A2, b2 = 2.0 * A, 2.0 * b
     for _ in range(8 * n + 16):
-        idx = np.flatnonzero(support)
-        target = _equality_solve(A, b, idx, n) if idx.size else None
+        idx = support.nonzero()[0]
+        target = _equality_solve(A2, b2, idx, n) if idx.size else None
         if target is None:
             return None
-        if target[idx].min() >= -_FEASIBLE_TOL:
-            w = np.clip(target, 0.0, None)
-            w = w / w.sum()
+        if min(target[idx].tolist()) >= -_FEASIBLE_TOL:
+            w = np.maximum(target, 0.0)
+            w /= w.sum()
             gradient = 2.0 * (A @ w - b)
-            if np.ptp(gradient[idx]) > _STATIONARY_TOL * (1.0 + float(np.abs(gradient).max())):
+            # Python min/max beat numpy on a few floats; a nan scale fails both tests, as numpy's would
+            scale = 1.0 + float(np.abs(gradient).max())
+            held = gradient[idx].tolist()
+            low = min(held)
+            if max(held) - low > _STATIONARY_TOL * scale:
                 return None
-            off = np.flatnonzero(~support)
-            if off.size == 0:
-                return w, support, target
-            tol = _KKT_TOL * (1.0 + float(np.abs(gradient).max()))
-            j = off[np.argmin(gradient[off])]
-            if gradient[j] >= gradient[idx].min() - tol:
-                return w, support, target
+            off = (~support).nonzero()[0]
+            j = off[gradient[off].argmin()] if off.size else None
+            if j is None or gradient[j] >= low - _KKT_TOL * scale:
+                return w, support, target, gradient
             support[j] = True
         else:
             direction = target - w  # sums to zero, so the move stays on the plane
@@ -182,14 +184,14 @@ def _active_set(
             if movers.size == 0:
                 return None
             steps = -w[movers] / direction[movers]
-            k_drop = int(np.argmin(steps))
-            w = np.clip(w + max(0.0, float(steps[k_drop])) * direction, 0.0, None)
+            k_drop = int(steps.argmin())
+            w = np.maximum(w + max(0.0, float(steps[k_drop])) * direction, 0.0)
             w[movers[k_drop]] = 0.0
             support[movers[k_drop]] = False
             total = w.sum()
             if total <= 0.0:  # the drop left no weight to rescale
                 return None
-            w = w / total
+            w /= total
     return None
 
 
@@ -207,11 +209,13 @@ def _sum_zero_basis(k: int) -> np.ndarray:
     return Z
 
 
-def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray, target: np.ndarray) -> bool:
+def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
+               target: np.ndarray, gradient: np.ndarray) -> bool:
     """Whether every start of the active-set method ends on `support`.
 
-    Holds when the minimizer is unique, the equality solve found it, and
-    it clears the solver's tolerances by a wide margin:
+    Takes `_active_set`'s answer, whose gradient 2(Aw - b) is the warm loop's
+    last: the bits a fresh product would give. Holds when the minimizer is
+    unique, `target` found it, and it clears the solver's tolerances widely:
     - every support weight of the equality solve is positive, and they
       sum to one;
     - the support gradients agree, so `w` is stationary on the support;
@@ -221,25 +225,26 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
       sum-zero plane, so the minimizer on the support is unique.
     The gradient tolerance is the solver's plus a bound on the rounding
     error of 2(Aw - b): at a perfect fit the gradient is rounding noise,
-    and a gap of that size certifies nothing.
+    and a gap of that size certifies nothing. A nan gradient refuses.
     """
-    idx = np.flatnonzero(support)
+    idx = support.nonzero()[0]
     held = target[idx]
     margin = _CERTIFICATE_MARGIN * _FEASIBLE_TOL
-    if not (held.min() > margin and abs(held.sum() - 1.0) <= margin):
+    if not (min(held.tolist()) > margin and abs(held.sum() - 1.0) <= margin):
         return False
-    gradient = 2.0 * (A @ w - b)
     rounding = 2.0 * b.size * _EPS * float((np.abs(A) @ w + np.abs(b)).max())
     tol = _KKT_TOL * (1.0 + float(np.abs(gradient).max())) + rounding
-    top = gradient[idx].max()
-    if not top - gradient[idx].min() <= tol:
+    on = gradient[idx].tolist()
+    top = max(on)
+    if not top - min(on) <= tol:
         return False
-    if idx.size < b.size and not gradient[~support].min() - top > _CERTIFICATE_MARGIN * tol:
+    if idx.size < b.size and not min(gradient[~support].tolist()) - top > _CERTIFICATE_MARGIN * tol:
         return False
     if idx.size == 1:
         return True
     Z = _sum_zero_basis(idx.size)
-    eigenvalues = np.linalg.eigvalsh(Z.T @ A[idx][:, idx] @ Z)
+    # F-ordered, as A[idx][:, idx] lays it out: BLAS may round Z'AZ differently on another layout
+    eigenvalues = np.linalg.eigvalsh(Z.T @ np.asfortranarray(A.take(idx, 0).take(idx, 1)) @ Z)
     return bool(eigenvalues[0] > _MIN_CURVATURE * max(1.0, eigenvalues[-1]))
 
 
@@ -254,12 +259,12 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
     on the same support, and so returns the same bits. Otherwise (cycle
     cap, a non-finite solve, or no certificate) the cold solve runs.
     """
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise DataError("non-finite outcome values in fitting window")
     n = b.size
     if start is not None:
         try:
-            warm = _active_set(A, b, start.copy(), start > 0)
+            warm = _active_set(A, b, start, start > 0)
             if warm is not None and _certified(A, b, *warm):
                 return warm[0]
         except np.linalg.LinAlgError:
@@ -316,23 +321,25 @@ def mspe(problem: SynthProblem, weights: WeightVector, periods: Sequence[int]) -
 
 
 def _pre_mspe(problem: SynthProblem, effects: np.ndarray) -> float:
-    """Mean squared effect over the full pre window."""
-    return float(np.mean(effects[problem.pre_idx] ** 2))
+    """Mean squared effect over the full pre window, with the bits of np.mean(e ** 2)."""
+    e = effects[problem.pre_idx]
+    return float((e * e).sum() / e.size)
 
 
 def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
     """Diagonal V minimizing prediction error over every pre period.
 
     Deterministic coordinate refinement from the uniform diagonal with a
-    halving step schedule; each candidate diagonal is scored by refitting
-    the weights and evaluating MSPE on the full pre window. The design
-    matrices and panel rows come from the problem, and a candidate that
-    comes back (clamped coordinates recur after each step halving) is not
-    solved again. Each candidate's QP starts warm from the incumbent's
-    weights and keeps that answer only under a certificate that the solve
-    from uniform weights returns the same bits, so a candidate's weights
-    do not depend on the path that reached it. The returned diagonal is
-    never worse than uniform.
+    halving step schedule. Each candidate diagonal is scored by refitting
+    the weights and taking the MSPE on the full pre window of effects over
+    the full donor rows (a product over the pre columns alone rounds
+    differently). A candidate that comes back (clamped coordinates recur
+    after each step halving) is not solved again. Each QP starts warm from
+    the incumbent's weights and keeps that answer only under a certificate
+    that the cold solve returns the same bits: with V on few periods A is
+    rank-deficient, and an uncertified warm start could reach another
+    minimizer with an equal objective and send the search down another
+    path. The returned diagonal is never worse than uniform.
     """
     v = _v_diag(problem, None)
     scored: dict[bytes, tuple[WeightVector, float]] = {}
@@ -340,13 +347,8 @@ def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
     def fit_and_score(candidate: np.ndarray, start: np.ndarray | None) -> tuple[WeightVector, float]:
         key = candidate.tobytes()
         if key not in scored:
-            # warm from the incumbent, kept only when certified to equal
-            # the cold solve: when A is rank-deficient (V concentrated on
-            # few periods) an uncertified warm start can reach another
-            # minimizer with an equal objective, and the search would then
-            # take another path
             w = _weights(problem, candidate, start)
-            scored[key] = (w, _pre_mspe(problem, effect_series(problem, w)))
+            scored[key] = (w, _pre_mspe(problem, problem.treated_row - w.w @ problem.donor_rows))
         return scored[key]
 
     w, best = fit_and_score(v, None)
@@ -383,9 +385,7 @@ def fit_synth(problem: SynthProblem, v_diag: np.ndarray | None = None) -> SynthF
     return package_fit(problem, fit_weights(problem, v_diag), v_diag)
 
 
-def package_fit(
-    problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None
-) -> SynthFit:
+def package_fit(problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None) -> SynthFit:
     """Effects and pre-period RMSE of weights already fitted under `v_diag`."""
     effects = effect_series(problem, weights)
     return SynthFit(

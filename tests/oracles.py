@@ -9,6 +9,10 @@ minimized exactly over its grid, which returns the same value as full
 enumeration at a fraction of the cost. `test_synth` cross-checks the
 fiber path against full enumeration.
 
+`reference_simplex_qp` is a frozen copy of the library's simplex QP solver
+(active set, warm-start certificate, scaled retry) before its per-call
+overhead was cut; `test_synth` requires the library to match its bits.
+
 The per-row references below read the tweet and event CSVs one row at a
 time into objects with aware UTC datetimes and dates, the way the program
 did before it read straight into columns, and count periods by UTC
@@ -17,9 +21,13 @@ calendar date.
 
 import csv
 import datetime as dt
+import math
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from synthpanel.errors import DataError, InferenceError
 
 
 def objective_direct(x0, X1, v, W):
@@ -116,6 +124,172 @@ def quantile_sorted(values, level: float) -> float:
     k = int(h)
     frac = h - k
     return xs[k - 1] + frac * (xs[k] - xs[k - 1])
+
+
+# The simplex QP solver as it stood before its per-call numpy overhead was
+# cut, copied verbatim with the constants it reads. The library's solver must
+# return the same bits on every QP, so this copy stays as it is.
+
+_FEASIBLE_TOL = 1e-12
+_KKT_TOL = 1e-11
+_STATIONARY_TOL = 1e-6
+_CERTIFICATE_MARGIN = 1e3
+_MIN_CURVATURE = 1e-8
+_EPS = float(np.finfo(float).eps)
+
+
+def _equality_solve(A: np.ndarray, b: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray | None:
+    """Minimizer over {w: sum w = 1, w zero off idx}, ignoring nonnegativity.
+
+    Least-squares on the KKT system handles rank-deficient supports
+    (duplicate donors) deterministically.
+    """
+    k = idx.size
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * A[idx][:, idx]
+    kkt[:k, k] = 1.0
+    kkt[k, :k] = 1.0
+    rhs = np.concatenate([2.0 * b[idx], [1.0]])
+    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    if not np.all(np.isfinite(sol)):
+        return None
+    target = np.zeros(n)
+    target[idx] = sol[:k]
+    return target
+
+
+def _active_set(
+    A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Primal active-set method for w'Aw - 2b'w on the simplex.
+
+    Starts at the feasible `w`, zero off the working `support`, then
+    alternates equality solves on the support with ratio-test drops and
+    most-negative-gradient additions until the support KKT conditions
+    hold. Returns (weights, final support, equality solve on it), or None
+    when no such point is found within the cycle cap, a KKT solve is not
+    finite or not stationary on its support, or a drop leaves no weight.
+    The weights are clip(target)/sum of that equality solve, so their
+    bits depend only on (A, b, final support).
+    """
+    n = b.size
+    for _ in range(8 * n + 16):
+        idx = np.flatnonzero(support)
+        target = _equality_solve(A, b, idx, n) if idx.size else None
+        if target is None:
+            return None
+        if target[idx].min() >= -_FEASIBLE_TOL:
+            w = np.clip(target, 0.0, None)
+            w = w / w.sum()
+            gradient = 2.0 * (A @ w - b)
+            if np.ptp(gradient[idx]) > _STATIONARY_TOL * (1.0 + float(np.abs(gradient).max())):
+                return None
+            off = np.flatnonzero(~support)
+            if off.size == 0:
+                return w, support, target
+            tol = _KKT_TOL * (1.0 + float(np.abs(gradient).max()))
+            j = off[np.argmin(gradient[off])]
+            if gradient[j] >= gradient[idx].min() - tol:
+                return w, support, target
+            support[j] = True
+        else:
+            direction = target - w  # sums to zero, so the move stays on the plane
+            movers = idx[direction[idx] < -1e-18]
+            if movers.size == 0:
+                return None
+            steps = -w[movers] / direction[movers]
+            k_drop = int(np.argmin(steps))
+            w = np.clip(w + max(0.0, float(steps[k_drop])) * direction, 0.0, None)
+            w[movers[k_drop]] = 0.0
+            support[movers[k_drop]] = False
+            total = w.sum()
+            if total <= 0.0:  # the drop left no weight to rescale
+                return None
+            w = w / total
+    return None
+
+
+@lru_cache(maxsize=None)
+def _sum_zero_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (k x k-1) of the plane {d: sum d = 0}.
+
+    A Householder reflection maps e_k to the normalized ones vector; its
+    other columns are orthonormal and orthogonal to that vector.
+    """
+    u = np.full(k, -1.0 / math.sqrt(k))
+    u[-1] += 1.0
+    Z = (np.eye(k) - np.outer(u, 2.0 / (u @ u) * u))[:, :-1]
+    Z.setflags(write=False)
+    return Z
+
+
+def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray, target: np.ndarray) -> bool:
+    """Whether every start of the active-set method ends on `support`.
+
+    Holds when the minimizer is unique, the equality solve found it, and
+    it clears the solver's tolerances by a wide margin:
+    - every support weight of the equality solve is positive, and they
+      sum to one;
+    - the support gradients agree, so `w` is stationary on the support;
+    - every off-support gradient lies strictly above every support
+      gradient, so every minimizer is zero off the support;
+    - the reduced Hessian on the support is positive definite over the
+      sum-zero plane, so the minimizer on the support is unique.
+    The gradient tolerance is the solver's plus a bound on the rounding
+    error of 2(Aw - b): at a perfect fit the gradient is rounding noise,
+    and a gap of that size certifies nothing.
+    """
+    idx = np.flatnonzero(support)
+    held = target[idx]
+    margin = _CERTIFICATE_MARGIN * _FEASIBLE_TOL
+    if not (held.min() > margin and abs(held.sum() - 1.0) <= margin):
+        return False
+    gradient = 2.0 * (A @ w - b)
+    rounding = 2.0 * b.size * _EPS * float((np.abs(A) @ w + np.abs(b)).max())
+    tol = _KKT_TOL * (1.0 + float(np.abs(gradient).max())) + rounding
+    top = gradient[idx].max()
+    if not top - gradient[idx].min() <= tol:
+        return False
+    if idx.size < b.size and not gradient[~support].min() - top > _CERTIFICATE_MARGIN * tol:
+        return False
+    if idx.size == 1:
+        return True
+    Z = _sum_zero_basis(idx.size)
+    eigenvalues = np.linalg.eigvalsh(Z.T @ A[idx][:, idx] @ Z)
+    return bool(eigenvalues[0] > _MIN_CURVATURE * max(1.0, eigenvalues[-1]))
+
+
+def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """Minimize w'Aw - 2b'w over the simplex by a primal active-set method.
+
+    The cold solve starts at uniform weights on every donor. If it finds no
+    optimum, it reruns once at a power-of-two scale, then raises InferenceError.
+    Given simplex weights `start`, the method first runs warm from them,
+    with working support start > 0. That answer is kept only when its
+    final support is certified (`_certified`): the cold solve then ends
+    on the same support, and so returns the same bits. Otherwise (cycle
+    cap, a non-finite solve, or no certificate) the cold solve runs.
+    """
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise DataError("non-finite outcome values in fitting window")
+    n = b.size
+    if start is not None:
+        try:
+            warm = _active_set(A, b, start.copy(), start > 0)
+            if warm is not None and _certified(A, b, *warm):
+                return warm[0]
+        except np.linalg.LinAlgError:
+            pass
+    cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
+    if cold is None:  # retry once with max|A| scaled into [1, 2), exactly, by a power of two
+        scale = np.ldexp(1.0, 1 - np.frexp(np.abs(A).max())[1])
+        cold = _active_set(A * scale, b * scale, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
+    if cold is None:
+        raise InferenceError(f"simplex weight solver found no optimum for {n} donors")
+    return cold[0]
+
+
+reference_simplex_qp = _solve_simplex_qp
 
 
 UTC = dt.timezone.utc

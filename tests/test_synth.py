@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgp import factor_panel, noiseless_hull_panel, TREATED
-from oracles import grid_search, grid_search_fiber, grid_search_full, objective_direct
+from oracles import grid_search, grid_search_fiber, grid_search_full, objective_direct, reference_simplex_qp
 from synthpanel import synth
 from synthpanel.errors import DataError, InferenceError
 from synthpanel.panel import PanelSeries
@@ -376,7 +376,8 @@ class TestVSearchGolden:
     """V searches captured from all-figures, replayed bit for bit.
 
     The CSV outputs print 12 significant digits, so they can hide a change
-    in the last bit of v or w; these cases compare the bits themselves.
+    in the last bit of v, w or the pre-window RMSE; these cases compare the
+    bits themselves.
     """
 
     @pytest.mark.parametrize("case", V_SEARCH_GOLDEN, ids=[case["id"] for case in V_SEARCH_GOLDEN])
@@ -394,6 +395,8 @@ class TestVSearchGolden:
         v, w = optimize_v(problem)
         assert [x.hex() for x in v.tolist()] == case["v"]
         assert [x.hex() for x in w.w.tolist()] == case["w"]
+        # the pre-window MSPE that scores every candidate, at the returned weights
+        assert synth.package_fit(problem, w, v).rmse_pre.hex() == case["rmse_pre"]
 
 
 @st.composite
@@ -498,6 +501,15 @@ class TestWarmStart:
         assert synth._certified(A, b, *warm)
         assert np.array_equal(warm[0], cold)
 
+    @pytest.mark.parametrize("start", [[0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 0.0, 0.5]])
+    def test_warm_start_reads_start_without_writing_it(self, start):
+        # the V search hands the incumbent's read-only weights to the solver
+        # without a copy; a write into them would raise here
+        A, b = self.full_rank_qp()
+        start = np.array(start)
+        start.setflags(write=False)
+        assert np.array_equal(synth._solve_simplex_qp(A, b, start), synth._solve_simplex_qp(A, b))
+
     @pytest.mark.parametrize("failure", ["non-finite", "raises"])
     def test_failed_warm_attempt_falls_back_to_cold(self, failure, monkeypatch):
         A, b = self.full_rank_qp()
@@ -514,6 +526,46 @@ class TestWarmStart:
 
         monkeypatch.setattr(synth, "_equality_solve", first_solve_fails)
         assert np.array_equal(synth._solve_simplex_qp(A, b, np.array([0.1, 0.2, 0.3, 0.4])), cold)
+
+
+@st.composite
+def reference_qps(draw):
+    """(A, b, start): a QP with 1-3 duplicated donors, values scaled by 1 to 1e6, and simplex weights.
+
+    V sits on 1-8 periods, so A is often rank-deficient beyond the
+    duplicates; from a scale of about 1e2 many cold solves need the retry.
+    """
+    n = draw(st.integers(min_value=2, max_value=20))
+    p = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X1 = rng.normal(size=(p, n))
+    x0 = rng.normal(size=p)
+    for j in range(draw(st.integers(min_value=1, max_value=min(3, n - 1)))):
+        X1[:, n - 1 - j] = X1[:, j]
+    scale = 10.0 ** draw(st.integers(min_value=0, max_value=6))
+    X1, x0 = scale * X1, scale * x0
+    v = rng.dirichlet(np.ones(p))
+    start = np.zeros(n)
+    held = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    start[held] = rng.dirichlet(np.ones(held.size))
+    return X1.T @ (v[:, None] * X1), X1.T @ (v * x0), start
+
+
+class TestReferenceSolver:
+    @given(reference_qps())
+    @settings(max_examples=300)
+    def test_same_bits_as_the_reference(self, qp):
+        # the reference is the solver before its per-call overhead was cut;
+        # cold and warm, the solver must give its bits or fail as it does
+        A, b, start = qp
+        for warm in (None, start):
+            try:
+                expected = reference_simplex_qp(A, b, warm)
+            except InferenceError:
+                with pytest.raises(InferenceError):
+                    synth._solve_simplex_qp(A, b, warm)
+                continue
+            assert synth._solve_simplex_qp(A, b, warm).tobytes() == expected.tobytes()
 
 
 @st.composite
