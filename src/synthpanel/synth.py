@@ -146,15 +146,14 @@ def _equality_solve(A2: np.ndarray, b2: np.ndarray, idx: np.ndarray, n: int) -> 
 def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """Primal active-set method for w'Aw - 2b'w on the simplex.
 
-    Starts at the feasible `w` (left unmodified), zero off the working
-    `support`, then alternates equality solves on the support with
-    ratio-test drops and most-negative-gradient additions until the
-    support KKT conditions hold. Returns (weights, final support, equality
-    solve on it, gradient 2(Aw - b) at the weights, for `_certified`), or
-    None when no such point is found within the cycle cap, a KKT solve is
-    not finite or not stationary on its support, or a drop leaves no
-    weight. The weights are clip(target)/sum of that equality solve, so
-    their bits depend only on (A, b, final support).
+    Starts at the feasible `w` (left unmodified), zero off the working `support`,
+    then alternates equality solves on the support with ratio-test drops and
+    most-negative-gradient additions until the support KKT conditions hold.
+    Returns (weights, final support, equality solve on it, gradient 2(Aw - b)
+    at the weights, for `_certified`), or None when no such point is found
+    within the cycle cap, a KKT solve is not finite or not stationary on its
+    support, or a drop leaves no weight. The weights are clip(target)/sum of
+    that equality solve, so their bits depend only on (A, b, final support).
     """
     n = b.size
     A2, b2 = 2.0 * A, 2.0 * b
@@ -330,16 +329,15 @@ def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
     """Diagonal V minimizing prediction error over every pre period.
 
     Deterministic coordinate refinement from the uniform diagonal with a
-    halving step schedule. Each candidate diagonal is scored by refitting
-    the weights and taking the MSPE on the full pre window of effects over
-    the full donor rows (a product over the pre columns alone rounds
-    differently). A candidate that comes back (clamped coordinates recur
-    after each step halving) is not solved again. Each QP starts warm from
-    the incumbent's weights and keeps that answer only under a certificate
-    that the cold solve returns the same bits: with V on few periods A is
-    rank-deficient, and an uncertified warm start could reach another
-    minimizer with an equal objective and send the search down another
-    path. The returned diagonal is never worse than uniform.
+    halving step schedule. A candidate is scored by the MSPE over the full
+    pre window of its refitted weights, with effects on the full donor rows
+    (a product over the pre columns alone rounds otherwise); one that comes
+    back (clamped coordinates recur after each halving) is not solved again.
+    Each QP starts warm from the incumbent's weights and keeps that answer
+    only under a certificate that the cold solve returns the same bits: with
+    V on few periods A is rank-deficient, and an uncertified warm start
+    could reach another minimizer of equal objective and change the path.
+    The returned diagonal is never worse than uniform.
     """
     v = _v_diag(problem, None)
     scored: dict[bytes, tuple[WeightVector, float]] = {}
@@ -385,7 +383,9 @@ def fit_synth(problem: SynthProblem, v_diag: np.ndarray | None = None) -> SynthF
     return package_fit(problem, fit_weights(problem, v_diag), v_diag)
 
 
-def package_fit(problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None) -> SynthFit:
+def package_fit(
+    problem: SynthProblem, weights: WeightVector, v_diag: np.ndarray | None = None
+) -> SynthFit:
     """Effects and pre-period RMSE of weights already fitted under `v_diag`."""
     effects = effect_series(problem, weights)
     return SynthFit(
