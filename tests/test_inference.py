@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,44 @@ class TestPlaceboDistribution:
         _, dist_b = estimate_with_placebos(panel2, TREATED, default_cfg(panel2))
         assert np.array_equal(dist_a.scaled_effects, dist_b.scaled_effects)
 
+
+
+def cold_fit_bits(seed):
+    """estimate_with_placebos on a 20-donor factor panel, every float as float.hex.
+
+    Every pre period is a fitting period, so each fit is one QP solved
+    without a warm start from a V search: the fit behind the paper's
+    placebo inference.
+    """
+    panel = factor_panel(seed)
+    fit, dist = estimate_with_placebos(panel, TREATED, default_cfg(panel))
+
+    def bits(a):
+        return [x.hex() for x in a.tolist()]
+
+    return {
+        "seed": seed,
+        "weights": bits(fit.weights.w),
+        "effects": bits(fit.effects),
+        "placebo_donors": list(dist.donors),
+        "raw_effects": [bits(row) for row in dist.raw_effects],
+        "sigmas": bits(dist.sigmas),
+    }
+
+
+COLD_FIT_GOLDEN = json.loads((Path(__file__).parent / "data" / "cold_fit_golden.json").read_text())["cases"]
+
+
+class TestColdFitGolden:
+    """Treated and placebo fits replayed bit for bit.
+
+    The tolerance checks elsewhere would pass a fit that moved in its last
+    bits; these cases compare the bits the solver returned when captured.
+    """
+
+    @pytest.mark.parametrize("case", COLD_FIT_GOLDEN, ids=[f"seed{case['seed']}" for case in COLD_FIT_GOLDEN])
+    def test_same_bits_as_captured(self, case):
+        assert cold_fit_bits(case["seed"]) == case
 
 class TestPointwiseBand:
     def test_median_of_symmetric_set(self):
