@@ -106,7 +106,7 @@ class WeightVector:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1:
             raise DataError("weights must be a vector")
-        if w.min() < -_SIMPLEX_TOL or abs(w.sum() - 1.0) > _SIMPLEX_TOL:
+        if not (w.min() >= -_SIMPLEX_TOL and abs(w.sum() - 1.0) <= _SIMPLEX_TOL):  # nan fails both
             raise DataError("weights violate simplex constraints")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -250,24 +250,28 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
 def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Minimize w'Aw - 2b'w over the simplex by a primal active-set method.
 
-    The cold solve starts at uniform weights on every donor. If it finds no
-    optimum, it reruns once at a power-of-two scale, then raises InferenceError.
-    Given simplex weights `start`, the method first runs warm from them,
-    with working support start > 0. That answer is kept only when its
-    final support is certified (`_certified`): the cold solve then ends
-    on the same support, and so returns the same bits. Otherwise (cycle
-    cap, a non-finite solve, or no certificate) the cold solve runs.
+    The cold solve defines the bits. It starts at uniform weights on every
+    donor; if it finds no optimum, it reruns once at a power-of-two scale,
+    then raises InferenceError. Every solve first runs the method warm, from
+    simplex weights `start` (the incumbent's in a V search) with working
+    support start > 0, or else from the vertex of least objective. That
+    answer is kept only when its final support is certified (`_certified`):
+    the cold solve then ends on the same support, and so returns the same
+    bits. Otherwise (cycle cap, a non-finite solve, or no certificate) the
+    cold solve runs.
     """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise DataError("non-finite outcome values in fitting window")
     n = b.size
-    if start is not None:
-        try:
-            warm = _active_set(A, b, start, start > 0)
-            if warm is not None and _certified(A, b, *warm):
-                return warm[0]
-        except np.linalg.LinAlgError:
-            pass
+    if start is None:  # the vertex of least objective, A[j, j] - 2 b[j]; ties go to the first
+        start = np.zeros(n)
+        start[(A.diagonal() - 2.0 * b).argmin()] = 1.0
+    try:
+        warm = _active_set(A, b, start, start > 0)
+        if warm is not None and _certified(A, b, *warm):
+            return warm[0]
+    except np.linalg.LinAlgError:
+        pass
     cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
     if cold is None:  # retry once with max|A| scaled into [1, 2), exactly, by a power of two
         scale = np.ldexp(1.0, 1 - np.frexp(np.abs(A).max())[1])
@@ -285,7 +289,7 @@ def _v_diag(problem: SynthProblem, v_diag: np.ndarray | None) -> np.ndarray:
     v = np.asarray(v_diag, dtype=float)
     if v.shape != (p,):
         raise DataError(f"v_diag must have one entry per fitting period ({p})")
-    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
+    if not (v.min() >= 0 and abs(v.sum() - 1.0) <= 1e-9):  # nan fails both
         raise DataError("v_diag entries must be nonnegative with trace 1")
     return v
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dgp import factor_panel, noiseless_hull_panel, TREATED
 from oracles import grid_search, grid_search_fiber, grid_search_full, objective_direct, reference_simplex_qp
 from synthpanel import synth
@@ -167,6 +169,20 @@ class TestFitWeights:
         with pytest.raises(InferenceError, match="no optimum"):
             fit_weights(random_problem(0))
 
+
+
+class TestSimplexChecks:
+    """nan fails every comparison, so each check must be written to fail on it."""
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [0.5, 0.5, np.nan]])
+    def test_weight_vector_refuses_nan(self, w):
+        with pytest.raises(DataError, match="simplex constraints"):
+            WeightVector(np.array(w))
+
+    def test_v_diag_refuses_nan(self):
+        # the fit must blame the diagonal, not the outcome data
+        with pytest.raises(DataError, match="v_diag entries"):
+            fit_synth(random_problem(0, n_pre=4), np.array([np.nan, 0.5, 0.25, 0.25]))
 
 class TestGridOracleSelfCheck:
     """The fiber shortcut must reproduce plain enumeration exactly."""
@@ -377,11 +393,12 @@ class TestVSearchGolden:
 
     The CSV outputs print 12 significant digits, so they can hide a change
     in the last bit of v, w or the pre-window RMSE; these cases compare the
-    bits themselves.
+    bits themselves. A candidate's score shows in v and w only once it flips
+    an accept decision, so the bits of every score are compared too.
     """
 
     @pytest.mark.parametrize("case", V_SEARCH_GOLDEN, ids=[case["id"] for case in V_SEARCH_GOLDEN])
-    def test_same_bits_as_captured(self, case):
+    def test_same_bits_as_captured(self, case, monkeypatch):
         countries = (case["treated"], *case["donors"])
         first, last = case["periods"]
         panel = PanelSeries("y", countries, tuple(range(first, last + 1)),
@@ -392,7 +409,16 @@ class TestVSearchGolden:
         )
         assert np.array_equal(problem.x0, from_hex(case["x0"]))
         assert np.array_equal(problem.X1, np.array([from_hex(row) for row in case["X1"]]))
+        pre_mspe, scores = synth._pre_mspe, []
+
+        def recorded(*args):
+            scores.append(pre_mspe(*args))
+            return scores[-1]
+
+        monkeypatch.setattr(synth, "_pre_mspe", recorded)
         v, w = optimize_v(problem)
+        assert len(scores) == case["scores"]
+        assert hashlib.sha256("\n".join(x.hex() for x in scores).encode()).hexdigest() == case["scores_sha256"]
         assert [x.hex() for x in v.tolist()] == case["v"]
         assert [x.hex() for x in w.w.tolist()] == case["w"]
         # the pre-window MSPE that scores every candidate, at the returned weights
@@ -567,6 +593,62 @@ class TestReferenceSolver:
                 continue
             assert synth._solve_simplex_qp(A, b, warm).tobytes() == expected.tobytes()
 
+
+
+@st.composite
+def wide_pool_qps(draw):
+    """(A, b) of a cold fit shaped like the montecarlo workload's, with uniform V.
+
+    15-25 donors on at least as many periods, their outcomes three common
+    factors plus noise, and the treated unit near the hull of three
+    donors. In some draws another donor is made a copy of the vertex of
+    least objective, so the minimizer on its support is not unique and the
+    solve from that vertex is refused.
+    """
+    n = draw(st.integers(min_value=15, max_value=25))
+    p = n + draw(st.integers(min_value=0, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X1 = rng.normal(size=(p, 3)) @ rng.uniform(0.0, 1.0, (3, n)) + rng.normal(0.0, 0.02, (p, n))
+    x0 = X1[:, rng.choice(n, 3, replace=False)] @ rng.dirichlet(np.ones(3)) + rng.normal(0.0, 0.02, p)
+    v = np.full(p, 1.0 / p)
+    A, b = X1.T @ (v[:, None] * X1), X1.T @ (v * x0)
+    if draw(st.booleans()):
+        X1[:, draw(st.integers(min_value=0, max_value=n - 1))] = X1[:, (A.diagonal() - 2.0 * b).argmin()]
+        A, b = X1.T @ (v[:, None] * X1), X1.T @ (v * x0)
+    return A, b
+
+
+class TestWidePool:
+    @given(wide_pool_qps())
+    @settings(max_examples=200)
+    def test_same_bits_as_the_reference_cold_solve(self, qp):
+        A, b = qp
+        try:
+            expected = reference_simplex_qp(A, b, None)
+        except InferenceError:
+            with pytest.raises(InferenceError):
+                synth._solve_simplex_qp(A, b)
+            return
+        assert synth._solve_simplex_qp(A, b).tobytes() == expected.tobytes()
+
+    def test_fewer_equality_solves_than_the_cold_solve(self, monkeypatch):
+        # one treated fit of the montecarlo kind: 20 donors, V uniform over 20 periods
+        panel = factor_panel(0)
+        pre, post = tuple(range(-20, 0)), tuple(range(0, 10))
+        problem = SynthProblem(TREATED, panel.countries[1:], pre, pre, post, panel)
+        v = np.full(20, 1 / 20)
+        A, b = problem.X1.T @ (v[:, None] * problem.X1), problem.X1.T @ (v * problem.x0)
+        calls = {}
+        for module in (synth, oracles):
+            solve = module._equality_solve
+
+            def counted(*args, solve=solve, name=module.__name__):
+                calls[name] = calls.get(name, 0) + 1
+                return solve(*args)
+
+            monkeypatch.setattr(module, "_equality_solve", counted)
+        assert synth._solve_simplex_qp(A, b).tobytes() == reference_simplex_qp(A, b, None).tobytes()
+        assert calls["synthpanel.synth"] < calls["oracles"]
 
 @st.composite
 def scaled_qps(draw):
