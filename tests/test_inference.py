@@ -81,7 +81,6 @@ class TestPlaceboDistribution:
         assert np.array_equal(dist_a.scaled_effects, dist_b.scaled_effects)
 
 
-
 def cold_fit_bits(seed):
     """estimate_with_placebos on a 20-donor factor panel, every float as float.hex.
 
@@ -118,6 +117,7 @@ class TestColdFitGolden:
     @pytest.mark.parametrize("case", COLD_FIT_GOLDEN, ids=[f"seed{case['seed']}" for case in COLD_FIT_GOLDEN])
     def test_same_bits_as_captured(self, case):
         assert cold_fit_bits(case["seed"]) == case
+
 
 class TestPointwiseBand:
     def test_median_of_symmetric_set(self):

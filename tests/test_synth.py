@@ -170,7 +170,6 @@ class TestFitWeights:
             fit_weights(random_problem(0))
 
 
-
 class TestSimplexChecks:
     """nan fails every comparison, so each check must be written to fail on it."""
 
@@ -183,6 +182,7 @@ class TestSimplexChecks:
         # the fit must blame the diagonal, not the outcome data
         with pytest.raises(DataError, match="v_diag entries"):
             fit_synth(random_problem(0, n_pre=4), np.array([np.nan, 0.5, 0.25, 0.25]))
+
 
 class TestGridOracleSelfCheck:
     """The fiber shortcut must reproduce plain enumeration exactly."""
@@ -594,7 +594,6 @@ class TestReferenceSolver:
             assert synth._solve_simplex_qp(A, b, warm).tobytes() == expected.tobytes()
 
 
-
 @st.composite
 def wide_pool_qps(draw):
     """(A, b) of a cold fit shaped like the montecarlo workload's, with uniform V.
@@ -633,11 +632,9 @@ class TestWidePool:
 
     def test_fewer_equality_solves_than_the_cold_solve(self, monkeypatch):
         # one treated fit of the montecarlo kind: 20 donors, V uniform over 20 periods
-        panel = factor_panel(0)
-        pre, post = tuple(range(-20, 0)), tuple(range(0, 10))
-        problem = SynthProblem(TREATED, panel.countries[1:], pre, pre, post, panel)
-        v = np.full(20, 1 / 20)
-        A, b = problem.X1.T @ (v[:, None] * problem.X1), problem.X1.T @ (v * problem.x0)
+        Y = factor_panel(0).values
+        X1, x0, v = Y[1:, :20].T, Y[0, :20], np.full(20, 1 / 20)
+        A, b = X1.T @ (v[:, None] * X1), X1.T @ (v * x0)
         calls = {}
         for module in (synth, oracles):
             solve = module._equality_solve
@@ -649,6 +646,7 @@ class TestWidePool:
             monkeypatch.setattr(module, "_equality_solve", counted)
         assert synth._solve_simplex_qp(A, b).tobytes() == reference_simplex_qp(A, b, None).tobytes()
         assert calls["synthpanel.synth"] < calls["oracles"]
+
 
 @st.composite
 def scaled_qps(draw):
