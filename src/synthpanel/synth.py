@@ -104,8 +104,8 @@ class WeightVector:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1:
-            raise DataError("weights must be a vector")
+        if w.ndim != 1 or w.size == 0:
+            raise DataError("weights must be a nonempty vector")
         if not (w.min() >= -_SIMPLEX_TOL and abs(w.sum() - 1.0) <= _SIMPLEX_TOL):  # nan fails both
             raise DataError("weights violate simplex constraints")
         w.setflags(write=False)
@@ -253,12 +253,12 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
     The cold solve defines the bits. It starts at uniform weights on every
     donor; if it finds no optimum, it reruns once at a power-of-two scale,
     then raises InferenceError. Every solve first runs the method warm, from
-    simplex weights `start` (the incumbent's in a V search) with working
-    support start > 0, or else from the vertex of least objective. That
-    answer is kept only when its final support is certified (`_certified`):
-    the cold solve then ends on the same support, and so returns the same
-    bits. Otherwise (cycle cap, a non-finite solve, or no certificate) the
-    cold solve runs.
+    simplex weights `start` (in a V search, the last answer of the same
+    move) with working support start > 0, or else from the vertex of least
+    objective. That answer is kept only when its final support is certified
+    (`_certified`): the cold solve then ends on the same support, and so
+    returns the same bits. Otherwise (cycle cap, a non-finite solve, or no
+    certificate) the cold solve runs.
     """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise DataError("non-finite outcome values in fitting window")
@@ -337,14 +337,18 @@ def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
     pre window of its refitted weights, with effects on the full donor rows
     (a product over the pre columns alone rounds otherwise); one that comes
     back (clamped coordinates recur after each halving) is not solved again.
-    Each QP starts warm from the incumbent's weights and keeps that answer
-    only under a certificate that the cold solve returns the same bits: with
-    V on few periods A is rank-deficient, and an uncertified warm start
-    could reach another minimizer of equal objective and change the path.
+    Each QP starts warm from the answer its move (coordinate and direction)
+    gave the last time it was tried, or from the incumbent's weights the
+    first time: v barely moves between sweeps, so that support is usually
+    the final one. The warm answer is kept only under a certificate that the
+    cold solve returns the same bits: with V on few periods A is
+    rank-deficient, and an uncertified warm start could reach another
+    minimizer of equal objective and change the path.
     The returned diagonal is never worse than uniform.
     """
     v = _v_diag(problem, None)
     scored: dict[bytes, tuple[WeightVector, float]] = {}
+    last: dict[tuple[int, float], WeightVector] = {}  # each move's most recent answer
 
     def fit_and_score(candidate: np.ndarray, start: np.ndarray | None) -> tuple[WeightVector, float]:
         key = candidate.tobytes()
@@ -371,7 +375,8 @@ def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
                 candidate /= total
                 if np.abs(candidate - v).max() <= 1e-15:
                     continue
-                w_candidate, score = fit_and_score(candidate, w.w)
+                w_candidate, score = fit_and_score(candidate, last.get((i, direction), w).w)
+                last[i, direction] = w_candidate
                 if score < best - 1e-15:
                     v, w, best = candidate, w_candidate, score
                     improved = True

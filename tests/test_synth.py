@@ -26,6 +26,59 @@ from synthpanel.synth import (
 )
 
 
+def incumbent_start_search(problem):
+    """optimize_v as it was with every candidate started from the incumbent's weights.
+
+    Each candidate is solved once, as in optimize_v, and scored by the
+    full-pre MSPE of its weights.
+    """
+    p = len(problem.pre_periods)
+    v = np.full(p, 1.0 / p)
+    w = synth._weights(problem, v)
+    best = mspe(problem, w, problem.all_pre_periods)
+    scored = {}
+    step = 0.5
+    for _ in range(200):
+        improved = False
+        for i in range(p):
+            for direction in (1.0, -1.0):
+                candidate = v.copy()
+                candidate[i] = max(0.0, candidate[i] + direction * step)
+                total = candidate.sum()
+                if total <= 0.0:
+                    continue
+                candidate /= total
+                if np.abs(candidate - v).max() <= 1e-15:
+                    continue
+                key = candidate.tobytes()
+                if key not in scored:
+                    w_candidate = synth._weights(problem, candidate, w.w)
+                    scored[key] = (w_candidate, mspe(problem, w_candidate, problem.all_pre_periods))
+                w_candidate, score = scored[key]
+                if score < best - 1e-15:
+                    v, w, best = candidate, w_candidate, score
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-6:
+                break
+    return v, w
+
+
+def count_equality_solves(monkeypatch, fn, *args):
+    """fn(*args) and the number of synth._equality_solve calls it made."""
+    solve, calls = synth._equality_solve, []
+
+    def counted(*solve_args):
+        calls.append(None)
+        return solve(*solve_args)
+
+    monkeypatch.setattr(synth, "_equality_solve", counted)
+    result = fn(*args)
+    monkeypatch.setattr(synth, "_equality_solve", solve)
+    return result, len(calls)
+
+
 def problem_from_values(values, n_pre, n_post=3, treated_row=0):
     values = np.asarray(values, dtype=float)
     n_units = values.shape[0]
@@ -177,6 +230,10 @@ class TestSimplexChecks:
     def test_weight_vector_refuses_nan(self, w):
         with pytest.raises(DataError, match="simplex constraints"):
             WeightVector(np.array(w))
+
+    def test_weight_vector_refuses_empty(self):
+        with pytest.raises(DataError, match="nonempty vector"):
+            WeightVector(np.array([]))
 
     def test_v_diag_refuses_nan(self):
         # the fit must blame the diagonal, not the outcome data
@@ -363,6 +420,17 @@ class TestOptimizeV:
         assert np.array_equal(w.w, w_cold.w)
 
     @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_same_search_as_incumbent_starts(self, case, monkeypatch):
+        # a move's last answer and the incumbent's weights are both warm
+        # starts under the certificate, so either gives the cold solve's bits;
+        # on these short searches either start may take more equality solves
+        problem = self.search_case(case)
+        v, w = optimize_v(problem)
+        v_incumbent, w_incumbent = incumbent_start_search(problem)
+        assert np.array_equal(v, v_incumbent)
+        assert np.array_equal(w.w, w_incumbent.w)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_local_optimum_at_final_step(self, case):
         # no move of the last step tried (0.5 * 2**-18 with the default
         # min_step) on any coordinate lowers the full-pre MSPE
@@ -386,6 +454,17 @@ V_SEARCH_GOLDEN = json.loads((Path(__file__).parent / "data" / "v_search_golden.
 
 def from_hex(values):
     return np.array([float.fromhex(x) for x in values])
+
+
+def golden_problem(case):
+    countries = (case["treated"], *case["donors"])
+    first, last = case["periods"]
+    panel = PanelSeries("y", countries, tuple(range(first, last + 1)),
+                        np.array([from_hex(row) for row in case["rows"]]))
+    return SynthProblem(
+        case["treated"], tuple(case["donors"]), tuple(case["pre_periods"]),
+        tuple(case["all_pre_periods"]), tuple(case["post_periods"]), panel,
+    )
 
 
 class TestVSearchGolden:
@@ -423,6 +502,19 @@ class TestVSearchGolden:
         assert [x.hex() for x in w.w.tolist()] == case["w"]
         # the pre-window MSPE that scores every candidate, at the returned weights
         assert synth.package_fit(problem, w, v).rmse_pre.hex() == case["rmse_pre"]
+
+    @pytest.mark.parametrize("case", V_SEARCH_GOLDEN, ids=[case["id"] for case in V_SEARCH_GOLDEN])
+    def test_fewer_equality_solves_than_incumbent_starts(self, case, monkeypatch):
+        # these searches retry each move for hundreds of candidates from a v
+        # that has barely moved, so the move's last answer is usually on the
+        # candidate's final support and the warm attempt ends at its first solve
+        problem = golden_problem(case)
+        (v, w), solves = count_equality_solves(monkeypatch, optimize_v, problem)
+        (v_incumbent, w_incumbent), incumbent_solves = count_equality_solves(
+            monkeypatch, incumbent_start_search, problem)
+        assert np.array_equal(v, v_incumbent)
+        assert np.array_equal(w.w, w_incumbent.w)
+        assert solves < incumbent_solves
 
 
 @st.composite
