@@ -420,7 +420,7 @@ class TestOptimizeV:
         assert np.array_equal(w.w, w_cold.w)
 
     @pytest.mark.parametrize("case", SEARCH_CASES)
-    def test_same_search_as_incumbent_starts(self, case, monkeypatch):
+    def test_same_search_as_incumbent_starts(self, case):
         # a move's last answer and the incumbent's weights are both warm
         # starts under the certificate, so either gives the cold solve's bits;
         # on these short searches either start may take more equality solves
