@@ -4,6 +4,8 @@ restricted-window falsification, and aggregation robustness."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,6 +86,45 @@ def run_unit_fit(
     return fit_synth(problem)
 
 
+def _placebo_fits(
+    panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig
+) -> list[SynthFit]:
+    """`run_unit_fit` of each donor on the other donors, in donor order.
+
+    Fits that run a V search are independent, Python-bound and slow, so
+    with 2 or more CPUs in the affinity mask they run in forked worker
+    processes, one donor per task. A worker runs the same code on the
+    same inputs with the same BLAS, so it returns the same bits. Plain
+    fits cost less than starting a worker and stay in this process, as
+    do all fits on one CPU, or where a fork is unsafe or refused. Fork,
+    not spawn: a spawned worker imports numpy afresh on every call and
+    runs without the caller's module state.
+    """
+    tasks = [(panel, donor, tuple(d for d in donors if d != donor), cfg) for donor in donors]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cfg.fit_pre_periods == cfg.all_pre_periods or cpus < 2:
+        return [run_unit_fit(*task) for task in tasks]
+    # imported here, not at the top: the import adds about 18 ms to every
+    # CLI start, and only V-search placebo fits need it
+    import multiprocessing
+
+    # a forked child holds only the calling thread, so a lock another
+    # thread held at the fork stays held there; a daemonic process may
+    # not have children at all
+    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return [run_unit_fit(*task) for task in tasks]
+    workers = multiprocessing.get_context("fork").Pool(min(len(tasks), cpus))
+    try:
+        fits = workers.starmap(run_unit_fit, tasks, chunksize=1)
+        workers.close()
+    except BaseException:
+        workers.terminate()
+        raise
+    finally:
+        workers.join()
+    return fits
+
+
 def placebo_distribution(
     panel: PanelSeries,
     donors: Sequence[str],
@@ -109,8 +150,8 @@ def placebo_distribution(
     floor = SIGMA_FLOOR_RATIO * scale
 
     included, raw, scaled, sigmas, excluded = [], [], [], [], []
-    for donor in donors:
-        fit = run_unit_fit(panel, donor, tuple(d for d in donors if d != donor), cfg)
+    fits = _placebo_fits(panel, donors, cfg)
+    for donor, fit in zip(donors, fits):
         if fit.rmse_pre < floor:
             excluded.append((donor, f"pre-period rmse {fit.rmse_pre:.3e} below floor {floor:.3e}"))
             continue

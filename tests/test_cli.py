@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -235,11 +236,25 @@ class TestExitCodes:
         assert err.startswith("inference error: simplex weight solver")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("first_failure", ["treated", "placebo"])
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_solver_failure_in_v_search_is_inference_error(
-        self, corpus_dir, tmp_path, monkeypatch, capsys
+        self, corpus_dir, tmp_path, monkeypatch, capsys, report_cpus, cpus, first_failure
     ):
-        # the weekly level subsamples its fitting periods, so its fits run a V search
-        monkeypatch.setattr(synth, "_equality_solve", lambda *args: None)
+        # the weekly level subsamples its fitting periods, so its fits run a V
+        # search; with 2 CPUs the placebo fits, and their failures, are in workers
+        pools = report_cpus(cpus)
+        if first_failure == "treated":
+            monkeypatch.setattr(synth, "_equality_solve", lambda *args: None)
+        else:
+            search = inference.optimize_v
+
+            def search_failing_off_treated(problem):
+                if problem.treated != "UG":
+                    monkeypatch.setattr(synth, "_equality_solve", lambda *args: None)
+                return search(problem)
+
+            monkeypatch.setattr(inference, "optimize_v", search_failing_off_treated)
         code = run_in(
             tmp_path, monkeypatch,
             ["aggregate", "--tweets", str(corpus_dir / "tweets.csv"), "--levels", "7", "--out", "out"],
@@ -248,6 +263,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("inference error: simplex weight solver")
         assert err.count("\n") == 1
+        assert pools == (["fork"] if (cpus, first_failure) == (2, "placebo") else [])
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_bad_levels_is_configuration_error(self, tmp_path, monkeypatch, capsys, where):
@@ -540,6 +557,7 @@ class TestFalsifyAndAggregate:
             ["aggregate", *tweets, "--levels", "7", "--outcome", "users", "--out", "out"],
         )
         assert code == 0
+        assert multiprocessing.active_children() == []  # the placebo workers are gone
         rows = read_rows(tmp_path / "out" / "aggregate" / "level_07_effects.csv")
         post = [float(r["effect"]) for r in rows if int(r["period"]) >= 0]
         assert np.mean(post) < 0.0  # drop recovered at the weekly level too
@@ -549,6 +567,25 @@ class TestFalsifyAndAggregate:
         periods = sorted({int(r["period"]) for r in users})
         assert periods == [int(r["period"]) for r in rows]
         assert periods[0] == -15  # 100 pre days, rounded out to whole weeks
+
+    def test_aggregate_bytes_do_not_depend_on_the_cpu_count(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, report_cpus
+    ):
+        # both runs write to the same --out, which the provenance line hashes
+        runs, pools = [], []
+        for cpus in (2, 1):
+            pools.append(report_cpus(cpus))
+            code = run_in(tmp_path, monkeypatch, [
+                "aggregate", "--tweets", str(corpus_dir / "tweets.csv"), "--levels", "1,7",
+                "--out", "out",
+            ])
+            assert code == 0
+            out = tmp_path / "out"
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((files, capsys.readouterr().out))
+            shutil.rmtree(out)
+        assert pools == [["fork", "fork"], []]  # one pool per level
+        assert runs[0] == runs[1]
 
 
 class TestDiffusionCommand:

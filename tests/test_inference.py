@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from synthpanel.inference import (
     estimate_with_placebos,
     falsification_run,
     fitting_periods_for_level,
+    placebo_distribution,
     placebo_quantile,
     pointwise_band,
     run_unit_fit,
@@ -117,6 +120,68 @@ class TestColdFitGolden:
     @pytest.mark.parametrize("case", COLD_FIT_GOLDEN, ids=[f"seed{case['seed']}" for case in COLD_FIT_GOLDEN])
     def test_same_bits_as_captured(self, case):
         assert cold_fit_bits(case["seed"]) == case
+
+
+def v_search_case():
+    """A panel, donors, V-search config and treated fit whose placebo
+    distribution excludes two twin donors."""
+    panel = factor_panel(11, n_donors=8, n_pre=16, n_post=4)
+    values = panel.values.copy()
+    values[2] = values[1]  # C02 becomes an exact twin of C01
+    panel = PanelSeries(panel.outcome_name, panel.countries, panel.periods, values)
+    pre = tuple(t for t in panel.periods if t < 0)
+    post = tuple(t for t in panel.periods if t >= 0)
+    cfg = EstimatorConfig(fitting_periods_for_level(pre, 7), pre, post)
+    donors = tuple(c for c in panel.countries if c != TREATED)
+    return panel, donors, cfg, run_unit_fit(panel, TREATED, donors, cfg)
+
+
+def distribution_bits(dist):
+    arrays = (dist.raw_effects, dist.scaled_effects, dist.sigmas)
+    return dist.donors, [a.tobytes() for a in arrays], dist.sigma_treated.hex(), dist.excluded
+
+
+def refuse_pool(method=None):
+    raise AssertionError("a worker pool was started")
+
+
+class TestWorkerProcesses:
+    """V-search placebo fits run in forked workers when the affinity mask
+    shows 2 or more CPUs; every other fit runs in the calling process."""
+
+    def test_pooled_and_serial_fits_have_the_same_bits(self, report_cpus):
+        case = v_search_case()
+        pooled = report_cpus(2)
+        from_workers = placebo_distribution(*case)
+        assert multiprocessing.active_children() == []
+        serial = report_cpus(1)
+        in_process = placebo_distribution(*case)
+        assert (pooled, serial) == (["fork"], [])
+        assert from_workers.excluded  # the twins
+        assert distribution_bits(from_workers) == distribution_bits(in_process)
+
+    @pytest.mark.parametrize("case", COLD_FIT_GOLDEN[:2], ids=lambda case: f"seed{case['seed']}")
+    def test_plain_fits_start_no_pool(self, report_cpus, monkeypatch, case):
+        # montecarlo's path: full pre window, uniform V
+        report_cpus(2)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse_pool)
+        assert cold_fit_bits(case["seed"]) == case
+
+    @pytest.mark.parametrize("caller", ["another thread", "daemonic process"])
+    def test_fits_stay_serial_where_a_fork_is_unsafe(self, report_cpus, monkeypatch, caller):
+        case = v_search_case()
+        report_cpus(1)
+        expected = distribution_bits(placebo_distribution(*case))
+        report_cpus(2)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(multiprocessing, "get_context", refuse_pool)
+        if caller == "another thread":
+            with ThreadPoolExecutor(1) as threads:
+                dist = threads.submit(placebo_distribution, *case).result(timeout=60)
+        else:
+            with fork.Pool(1) as daemons:
+                dist = daemons.apply_async(placebo_distribution, case).get(timeout=60)
+        assert distribution_bits(dist) == expected
 
 
 class TestPointwiseBand:
