@@ -104,25 +104,23 @@ def _placebo_fits(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if cfg.fit_pre_periods == cfg.all_pre_periods or cpus < 2:
         return [run_unit_fit(*task) for task in tasks]
-    # imported here, not at the top: the import adds about 18 ms to every
-    # CLI start, and only V-search placebo fits need it
+    # imported here, not at the top: these modules take about 20 ms to
+    # import, which every CLI start would pay, and only V-search placebo
+    # fits use them
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     # a forked child holds only the calling thread, so a lock another
     # thread held at the fork stays held there; a daemonic process may
     # not have children at all
     if threading.active_count() > 1 or multiprocessing.current_process().daemon:
         return [run_unit_fit(*task) for task in tasks]
-    workers = multiprocessing.get_context("fork").Pool(min(len(tasks), cpus))
-    try:
-        fits = workers.starmap(run_unit_fit, tasks, chunksize=1)
-        workers.close()
-    except BaseException:
-        workers.terminate()
-        raise
-    finally:
-        workers.join()
-    return fits
+    # an executor, not multiprocessing.Pool: when a worker dies (killed,
+    # out of memory) the executor raises BrokenProcessPool, where a Pool
+    # waits for the lost task forever. Leaving the block joins every worker.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(len(tasks), cpus), mp_context=fork) as workers:
+        return list(workers.map(run_unit_fit, *zip(*tasks)))
 
 
 def placebo_distribution(

@@ -1,6 +1,9 @@
 import json
 import multiprocessing
+import os
+import signal
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from dgp import TREATED, factor_panel
 from oracles import quantile_sorted
-from synthpanel import classify
+from synthpanel import classify, inference
 from synthpanel.classify import (
     bot_filter, load_lexicons, read_tweets_csv, tweet_table, twitter_outcomes, user_period_flags,
 )
@@ -145,6 +148,16 @@ def refuse_pool(method=None):
     raise AssertionError("a worker pool was started")
 
 
+def fit_killing_its_worker(panel, unit, pool, cfg):
+    if unit == "C03" and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_unit_fit(panel, unit, pool, cfg)
+
+
+def give_up(signum, frame):
+    raise TimeoutError("placebo_distribution still waiting 60 s after its worker died")
+
+
 class TestWorkerProcesses:
     """V-search placebo fits run in forked workers when the affinity mask
     shows 2 or more CPUs; every other fit runs in the calling process."""
@@ -159,6 +172,20 @@ class TestWorkerProcesses:
         assert (pooled, serial) == (["fork"], [])
         assert from_workers.excluded  # the twins
         assert distribution_bits(from_workers) == distribution_bits(in_process)
+
+    def test_a_killed_worker_fails_the_call(self, report_cpus, monkeypatch):
+        case = v_search_case()
+        report_cpus(2)
+        monkeypatch.setattr(inference, "run_unit_fit", fit_killing_its_worker)
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                placebo_distribution(*case)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("case", COLD_FIT_GOLDEN[:2], ids=lambda case: f"seed{case['seed']}")
     def test_plain_fits_start_no_pool(self, report_cpus, monkeypatch, case):
