@@ -217,6 +217,10 @@ def read_tweets_csv(path: Path | str) -> TweetColumns:
     SchemaError with its row number.
     """
     rows = []
+    # an account's creation time repeats on each of its tweets, so each
+    # distinct string is parsed once; a bad one is never stored, so every
+    # row that holds it raises
+    created_us: dict[str, int] = {}
     for row_no, row in csv_rows(path, TWEET_CSV_COLUMNS, "tweet"):
         (tweet_id, user_id, timestamp, country, text, source, created, statuses,
          description, location, _, _) = row
@@ -231,7 +235,9 @@ def read_tweets_csv(path: Path | str) -> TweetColumns:
         if count < 0:
             raise SchemaError(f"row {row_no}: statuses_count is negative")
         at = _parse_timestamp(timestamp, row_no, "timestamp")
-        created_at = _parse_timestamp(created, row_no, "user_created_at")
+        created_at = created_us.get(created)
+        if created_at is None:
+            created_at = created_us[created] = _parse_timestamp(created, row_no, "user_created_at")
         if at < created_at:
             raise SchemaError(f"row {row_no}: timestamp precedes user_created_at")
         rows.append((

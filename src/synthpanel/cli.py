@@ -3,7 +3,8 @@
 Every command is a pure function of its resolved configuration and the
 input files; reruns produce byte-identical CSV and SVG output. `main()`
 writes a command's files and prints its lines once it has succeeded.
-Exit code 2 signals a data problem, 3 an inference degeneracy.
+Exit code 2 signals a data problem, 3 an inference degeneracy, 1 a
+worker process that died.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ from .events import EventColumns, event_panel, read_events_csv
 from .inference import (
     AveragedEffect,
     EstimatorConfig,
+    FitPool,
     OutcomeEstimate,
-    aggregation_suite,
+    collect_aggregation_suite,
     estimate_outcome,
     falsification_run,
     prepare_outcome,
+    submit_aggregation_suite,
 )
 from .panel import (
     DEFAULT_ANCHOR,
@@ -166,14 +169,17 @@ class RunInputs:
     files afresh. The tweet CSV is parsed, bot-filtered and classified
     into one tweet table; its flags are built once for the run's calendar
     and its outcome panels once per window. An outcome's estimate is
-    computed once per window, for both `estimate` and `placebo`. Callers
+    computed once per window, for both `estimate` and `placebo`. The V
+    searches of a run go to its one `pool`, which `main()` closes. Callers
     must not mutate what they get back.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self.pool = FitPool()
         self._twitter_panels: dict[tuple[int, int], dict[str, PanelSeries]] = {}
         self._estimates: dict[tuple[str, tuple[int, ...]], OutcomeEstimate] = {}
+        self._aggregations: dict[str, list] = {}
 
     @cached_property
     def calendar(self) -> PeriodCalendar:
@@ -232,6 +238,20 @@ class RunInputs:
         if key not in self._estimates:
             self._estimates[key] = estimate_outcome(panel, self.args.treated, cfg)
         return self._estimates[key]
+
+    def aggregation(self, outcome: str) -> list:
+        """The outcome's pending aggregation suite over the run's window,
+        from `submit_aggregation_suite` on the run's pool."""
+        if outcome not in self._aggregations:
+            self._aggregations[outcome] = submit_aggregation_suite(
+                self.pool, self.tweets, self.args.treated,
+                levels=tuple(self.args.levels),
+                restriction=SampleRestriction(parameter=self.args.restriction),
+                outcome=outcome,
+                transform=_transform(self.args, outcome),
+                window_days=_window_days(self.args, self.tweets.day),
+            )
+        return self._aggregations[outcome]
 
 
 def _transform(args, outcome: str) -> str:
@@ -371,14 +391,7 @@ def cmd_aggregate(args, inputs: RunInputs) -> Output:
     outcome = args.outcomes[0]
     if outcome not in OUTCOME_NAMES:
         raise ConfigurationError(f"aggregate takes a Twitter outcome, not {outcome!r}")
-    results = aggregation_suite(
-        inputs.tweets, args.treated,
-        levels=tuple(args.levels),
-        restriction=SampleRestriction(parameter=args.restriction),
-        outcome=outcome,
-        transform=_transform(args, outcome),
-        window_days=_window_days(args, inputs.tweets.day),
-    )
+    results = collect_aggregation_suite(inputs.aggregation(outcome))
     files, lines = [], []
     for level in sorted(results):
         est = results[level]
@@ -420,6 +433,17 @@ def cmd_diffusion(args, inputs: RunInputs) -> Output:
 
 
 def cmd_all_figures(args, inputs: RunInputs) -> Output:
+    """Every step's files and lines, in step order.
+
+    The aggregate is submitted first, right after ingest: its V searches,
+    treated and placebo, run in the pool's worker processes while this
+    process computes the other steps, and it is collected at its place in
+    the order. Ingest and the window are also build-panel's first work, so
+    an error there is the one build-panel raises; the aggregate's later
+    errors are raised where it is collected, as in a serial run.
+    """
+    if args.tweets:
+        inputs.aggregation("users")
     outputs = [step(args, inputs) for step in (cmd_build_panel, cmd_estimate, cmd_placebo, cmd_falsify)]
     if args.tweets:
         outputs.append(cmd_aggregate(argparse.Namespace(**{**vars(args), "outcomes": ["users"]}), inputs))
@@ -590,7 +614,9 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(argv)
-        output = args.func(args, RunInputs(args))
+        inputs = RunInputs(args)
+        with inputs.pool:
+            output = args.func(args, inputs)
         provenance = _provenance(args)
         for path, content in output.files:
             if isinstance(content, LineChart):
@@ -606,6 +632,14 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, EmptyPlatformError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a worker process died (killed, out of memory): BrokenProcessPool.
+        # Its module is loaded only once a pool has started
+        futures = sys.modules.get("concurrent.futures")
+        if futures is None or not isinstance(exc, futures.BrokenExecutor):
+            raise
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,41 +86,132 @@ def run_unit_fit(
     return fit_synth(problem)
 
 
+FitTask = tuple[PanelSeries, str, tuple[str, ...], EstimatorConfig]  # `run_unit_fit`'s arguments
+
+
+class _Ready:
+    """An outcome computed already: `result()` returns `value` or raises `error`."""
+
+    def __init__(self, value=None, error: Exception | None = None):
+        self.value, self.error = value, error
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class _SerialFit:
+    """A `run_unit_fit` task that runs in this process when its result is first asked for."""
+
+    def __init__(self, task: FitTask):
+        self.task, self.fit = task, None
+
+    def result(self) -> SynthFit:
+        if self.fit is None:
+            self.fit = run_unit_fit(*self.task)
+        return self.fit
+
+
+class FitPool:
+    """Runs `run_unit_fit` tasks; `submit` returns a handle per task, whose
+    `result()` returns the fit or raises the fit's error.
+
+    Fits that run a V search are independent, Python-bound and slow, so
+    with 2 or more CPUs in the affinity mask they run in forked worker
+    processes, one fit per task. The pool starts at the first batch that
+    holds such a fit, with one worker per CPU and at most one per fit of
+    that batch, and serves every later batch. A worker runs the same code
+    on the same inputs with the same BLAS, so it returns the same bits.
+    Every other fit runs in this process when its result is asked for, so
+    its error is raised where a serial run raises it: plain fits, which
+    cost less than a worker's round trip, and all fits on one CPU, beside
+    another thread, in a daemonic process or after a refused fork. Fork,
+    not spawn: a spawned worker imports numpy afresh and runs without the
+    caller's module state.
+
+    Leaving a `with` block joins the workers; on an error it first cancels
+    the fits no worker has taken.
+    """
+
+    def __init__(self):
+        self._workers = None  # the executor, once started
+        # one start at most: a started executor runs a thread of its own,
+        # which would fail the next start's thread check
+        self._tried = False
+
+    def __enter__(self) -> "FitPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._workers is not None:
+            self._workers.shutdown(cancel_futures=exc_type is not None)
+            self._workers = None
+
+    def submit(self, tasks: Sequence[FitTask]) -> list:
+        searches = [task[3].fit_pre_periods != task[3].all_pre_periods for task in tasks]
+        handles = []
+        for task, search in zip(tasks, searches):
+            if search and not self._tried:
+                self._tried = True
+                handles.append(self._start(task, sum(searches)))
+            elif search and self._workers is not None:
+                handles.append(self._workers.submit(run_unit_fit, *task))
+            else:
+                handles.append(_SerialFit(task))
+        return handles
+
+    def _start(self, task: FitTask, fits: int):
+        """The task's future from a new pool of at most `fits` workers, or a
+        `_SerialFit` where a pool does not pay or cannot start."""
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        if cpus < 2:
+            return _SerialFit(task)
+        # imported here, not at the top: these modules take about 20 ms to
+        # import, which every CLI start would pay, and only V-search fits use them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a forked child holds only the calling thread, so a lock another
+        # thread held at the fork stays held there; a daemonic process may
+        # not have children at all
+        if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+            return _SerialFit(task)
+        # an executor, not multiprocessing.Pool: when a worker dies (killed,
+        # out of memory) the executor raises BrokenProcessPool, where a Pool
+        # waits for the lost task forever
+        before = multiprocessing.active_children()
+        workers = ProcessPoolExecutor(min(fits, cpus), mp_context=multiprocessing.get_context("fork"))
+        try:
+            future = workers.submit(run_unit_fit, *task)  # forks every worker
+        except OSError:
+            # a refused fork (EAGAIN, ENOMEM): stop the workers forked so far
+            # and fit in this process, which gives the same bits
+            for worker in multiprocessing.active_children():
+                if worker not in before:
+                    worker.terminate()
+                    worker.join()
+            workers.shutdown(cancel_futures=True)
+            return _SerialFit(task)
+        self._workers = workers
+        return future
+
+
+def _placebo_tasks(panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig) -> list[FitTask]:
+    """`run_unit_fit`'s arguments for each donor on the other donors, in donor order."""
+    return [(panel, donor, tuple(d for d in donors if d != donor), cfg) for donor in donors]
+
+
 def _placebo_fits(
     panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig
 ) -> list[SynthFit]:
     """`run_unit_fit` of each donor on the other donors, in donor order.
 
-    Fits that run a V search are independent, Python-bound and slow, so
-    with 2 or more CPUs in the affinity mask they run in forked worker
-    processes, one donor per task. A worker runs the same code on the
-    same inputs with the same BLAS, so it returns the same bits. Plain
-    fits cost less than starting a worker and stay in this process, as
-    do all fits on one CPU, or where a fork is unsafe or refused. Fork,
-    not spawn: a spawned worker imports numpy afresh on every call and
-    runs without the caller's module state.
+    The fits go to a `FitPool` of this call's own, so V-search fits run
+    in worker processes where that pays and the rest in this process.
     """
-    tasks = [(panel, donor, tuple(d for d in donors if d != donor), cfg) for donor in donors]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cfg.fit_pre_periods == cfg.all_pre_periods or cpus < 2:
-        return [run_unit_fit(*task) for task in tasks]
-    # imported here, not at the top: these modules take about 20 ms to
-    # import, which every CLI start would pay, and only V-search placebo
-    # fits use them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a forked child holds only the calling thread, so a lock another
-    # thread held at the fork stays held there; a daemonic process may
-    # not have children at all
-    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
-        return [run_unit_fit(*task) for task in tasks]
-    # an executor, not multiprocessing.Pool: when a worker dies (killed,
-    # out of memory) the executor raises BrokenProcessPool, where a Pool
-    # waits for the lost task forever. Leaving the block joins every worker.
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(tasks), cpus), mp_context=fork) as workers:
-        return list(workers.map(run_unit_fit, *zip(*tasks)))
+    with FitPool() as pool:
+        return [fit.result() for fit in pool.submit(_placebo_tasks(panel, donors, cfg))]
 
 
 def placebo_distribution(
@@ -128,12 +219,15 @@ def placebo_distribution(
     donors: Sequence[str],
     cfg: EstimatorConfig,
     treated_fit: SynthFit,
+    placebo_fits: Sequence | None = None,
 ) -> PlaceboDistribution:
     """Re-run the estimator with each donor as pseudo-treated.
 
     `treated_fit`, the treated unit's fit on `donors`, sets the scale.
     The genuinely treated unit never enters a placebo donor pool: its
-    post periods are contaminated by the intervention.
+    post periods are contaminated by the intervention. `placebo_fits`,
+    the `FitPool` handles of the donors' fits in donor order, lets a
+    caller submit the fits early; by default they are fitted here.
     """
     donors = tuple(donors)
     if len(donors) < MIN_PLACEBO_DONORS:
@@ -148,7 +242,10 @@ def placebo_distribution(
     floor = SIGMA_FLOOR_RATIO * scale
 
     included, raw, scaled, sigmas, excluded = [], [], [], [], []
-    fits = _placebo_fits(panel, donors, cfg)
+    if placebo_fits is None:
+        fits = _placebo_fits(panel, donors, cfg)
+    else:
+        fits = [fit.result() for fit in placebo_fits]
     for donor, fit in zip(donors, fits):
         if fit.rmse_pre < floor:
             excluded.append((donor, f"pre-period rmse {fit.rmse_pre:.3e} below floor {floor:.3e}"))
@@ -323,10 +420,99 @@ class OutcomeEstimate:
     averaged: AveragedEffect
 
 
+def _with_bands(panel: PanelSeries, fit: SynthFit, dist: PlaceboDistribution) -> OutcomeEstimate:
+    return OutcomeEstimate(panel, fit, dist, pointwise_band(dist), averaged_post_effect(fit, dist))
+
+
 def estimate_outcome(panel: PanelSeries, treated: str, cfg: EstimatorConfig) -> OutcomeEstimate:
     """Estimate a panel and config from `prepare_outcome`, with its bands."""
-    fit, dist = estimate_with_placebos(panel, treated, cfg)
-    return OutcomeEstimate(panel, fit, dist, pointwise_band(dist), averaged_post_effect(fit, dist))
+    return _with_bands(panel, *estimate_with_placebos(panel, treated, cfg))
+
+
+class PendingEstimate(NamedTuple):
+    """An outcome's estimate whose unit fits went to a `FitPool`: the
+    treated fit, then each donor's placebo fit in donor order."""
+
+    panel: PanelSeries
+    treated: str
+    cfg: EstimatorConfig
+    fits: list
+
+    def result(self) -> OutcomeEstimate:
+        """The estimate, as `estimate_outcome` returns it and with its errors in the same order."""
+        donors = tuple(c for c in self.panel.countries if c != self.treated)
+        fit = self.fits[0].result()
+        dist = placebo_distribution(self.panel, donors, self.cfg, fit, placebo_fits=self.fits[1:])
+        return _with_bands(self.panel, fit, dist)
+
+
+def submit_aggregation_suite(
+    pool: FitPool,
+    table: TweetTable,
+    treated: str,
+    levels: Sequence[int] = (1, 7, 10, 28),
+    restriction: SampleRestriction = SampleRestriction(),
+    outcome: str = "users",
+    transform: str = "log1p",
+    window_days: tuple[int, int] | None = None,
+) -> list[tuple[int, object]]:
+    """The submit phase of `aggregation_suite`: each level and its pending
+    estimate, whose `result()` gives the level's `OutcomeEstimate`.
+
+    The subsampled levels (1 and 7 days) are prepared first, and all
+    their unit fits, treated and placebo, go to `pool` in one batch. The
+    other levels are then estimated here while the pool's workers search.
+    A level's error is not raised here: the level holds it and ends the
+    list, so `collect_aggregation_suite` raises the error that a serial
+    pass over the levels raises first.
+    """
+
+    def prepared(level: int) -> tuple[PanelSeries, EstimatorConfig]:
+        cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
+        periods = None if window_days is None else window_periods(window_days, level)
+        panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
+        return prepare_outcome(
+            panels[outcome], treated, transform, users=panels["users"],
+            restriction=restriction, level_days=level,
+        )
+
+    order, searched, entries = list(dict.fromkeys(levels)), {}, {}
+    for subsampled in (True, False):  # the V-search levels first, so their fits start early
+        for i, level in enumerate(order):
+            if (level in _FIT_SUBSAMPLE_STRIDE) != subsampled:
+                continue
+            try:
+                panel, cfg = prepared(level)
+                if subsampled:
+                    searched[level] = panel, cfg
+                else:
+                    entries[level] = _Ready(estimate_outcome(panel, treated, cfg))
+            except Exception as exc:  # raised again when the level is collected
+                entries[level], order = _Ready(error=exc), order[: i + 1]
+                break
+        if subsampled:
+            entries.update(_submit_estimates(pool, treated, searched))
+    return [(level, entries[level]) for level in order]
+
+
+def _submit_estimates(
+    pool: FitPool, treated: str, prepared: dict[int, tuple[PanelSeries, EstimatorConfig]]
+) -> dict[int, PendingEstimate]:
+    """Each prepared panel's estimate, its unit fits submitted to `pool` in one batch."""
+    tasks = {}
+    for key, (panel, cfg) in prepared.items():
+        donors = tuple(c for c in panel.countries if c != treated)
+        tasks[key] = [(panel, treated, donors, cfg), *_placebo_tasks(panel, donors, cfg)]
+    handles = iter(pool.submit([task for batch in tasks.values() for task in batch]))
+    return {
+        key: PendingEstimate(panel, treated, cfg, [next(handles) for _ in tasks[key]])
+        for key, (panel, cfg) in prepared.items()
+    }
+
+
+def collect_aggregation_suite(pending: list[tuple[int, object]]) -> dict[int, OutcomeEstimate]:
+    """The collect phase of `aggregation_suite`: each level's estimate, in level order."""
+    return {level: estimate.result() for level, estimate in pending}
 
 
 def aggregation_suite(
@@ -344,20 +530,18 @@ def aggregation_suite(
     calendar is anchored at the table's anchor date and only regroups
     the table's day offsets, so a level costs no lexicon pass. Each
     level's panels go through `prepare_outcome` with the level's
-    fitting-period rule, then `estimate_outcome`, as the CLI's
-    `estimate` does at one period length. `window_days`, the days
-    (pre_days, post_days) around the anchor, gives each level its
-    `window_periods`, so every level covers the same days; None spans
+    fitting-period rule, then are estimated as `estimate_outcome` does,
+    as the CLI's `estimate` does at one period length. `window_days`,
+    the days (pre_days, post_days) around the anchor, gives each level
+    its `window_periods`, so every level covers the same days; None spans
     the tweets.
+
+    This is `submit_aggregation_suite` and `collect_aggregation_suite` on
+    a `FitPool` of this call's own: the V searches of the subsampled
+    levels run in worker processes where that pays, while this process
+    estimates the other levels.
     """
-    results = {}
-    for level in levels:
-        cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
-        periods = None if window_days is None else window_periods(window_days, level)
-        panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
-        panel, cfg = prepare_outcome(
-            panels[outcome], treated, transform, users=panels["users"],
-            restriction=restriction, level_days=level,
-        )
-        results[level] = estimate_outcome(panel, treated, cfg)
-    return results
+    with FitPool() as pool:
+        return collect_aggregation_suite(submit_aggregation_suite(
+            pool, table, treated, levels, restriction, outcome, transform, window_days,
+        ))

@@ -540,6 +540,27 @@ class TestTweetCsvSchema:
         with pytest.raises(SchemaError, match=r"^row 3: field larger than field limit \(131072\)$"):
             read_tweets_csv(path)
 
+    def test_repeated_bad_creation_time_reports_its_first_row(self, tmp_path):
+        # each distinct creation time is parsed once; a bad one still raises on its first row
+        path = tmp_path / "bad.csv"
+        header = DATA.joinpath("tweets_fixture.csv").read_text().splitlines()[0]
+        path.write_text(header + "\n" + "".join(
+            f"t{i},u1,2018-07-02T10:00:00Z,UG,hi,web,{created},5,d,l,en,en\n"
+            for i, created in enumerate(["2017-01-01T00:00:00Z", "2017-13-01T00:00:00Z", "2017-13-01T00:00:00Z"])
+        ))
+        with pytest.raises(SchemaError, match=r"^row 3: column user_created_at is not an ISO-8601 timestamp"):
+            read_tweets_csv(path)
+
+    def test_repeated_creation_time_gives_every_row_its_value(self, tmp_path):
+        path = tmp_path / "tweets.csv"
+        header = DATA.joinpath("tweets_fixture.csv").read_text().splitlines()[0]
+        created = ["2017-01-01T00:00:00Z", "2017-01-01T00:00:00+03:00", "2017-01-01T00:00:00Z"]
+        path.write_text(header + "\n" + "".join(
+            f"t{i},u{i},2018-07-02T10:00:00Z,UG,hi,web,{c},5,d,l,en,en\n" for i, c in enumerate(created)
+        ))
+        day = 17167 * 86_400_000_000  # 2017-01-01 in microseconds since 1970
+        assert read_tweets_csv(path).user_created_at.tolist() == [day, day - 3 * 3_600_000_000, day]
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

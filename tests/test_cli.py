@@ -1,8 +1,10 @@
 import csv
 import datetime as dt
+import errno
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -242,7 +244,7 @@ class TestExitCodes:
         self, corpus_dir, tmp_path, monkeypatch, capsys, report_cpus, cpus, first_failure
     ):
         # the weekly level subsamples its fitting periods, so its fits run a V
-        # search; with 2 CPUs the placebo fits, and their failures, are in workers
+        # search; with 2 CPUs every one of them, and its failure, is in a worker
         pools = report_cpus(cpus)
         if first_failure == "treated":
             monkeypatch.setattr(synth, "_equality_solve", lambda *args: None)
@@ -263,7 +265,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("inference error: simplex weight solver")
         assert err.count("\n") == 1
-        assert pools == (["fork"] if (cpus, first_failure) == (2, "placebo") else [])
+        assert pools == (["fork"] if cpus == 2 else [])
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["flag", "config"])
@@ -584,7 +586,7 @@ class TestFalsifyAndAggregate:
             files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
             runs.append((files, capsys.readouterr().out))
             shutil.rmtree(out)
-        assert pools == [["fork", "fork"], []]  # one pool per level
+        assert pools == [["fork"], []]  # one pool per run
         assert runs[0] == runs[1]
 
 
@@ -842,3 +844,120 @@ class TestWindow:
         # default window reaches back only that far
         args = cli._resolve(["estimate", "--anchor", "1970-02-01", "--period-days", "7"])
         assert cli._window_days(args, np.array([-31, 5])) == (31, 6)
+
+
+def fit_killing_its_worker(panel, unit, pool, cfg):
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return inference.run_unit_fit(panel, unit, pool, cfg)
+
+
+def give_up(signum, frame):
+    raise TimeoutError("the run still waits 60 s after its worker died")
+
+
+class TestRunPool:
+    """A run with V-search fits starts one worker pool after ingest, falls
+    back to fitting in its own process where the pool cannot start, fails
+    as a serial run fails, and leaves no worker behind."""
+
+    def run(self, tmp_path, monkeypatch, capsys, argv):
+        """Exit code, stdout, stderr and files of one run, written to tmp_path / "out"."""
+        code = run_in(tmp_path, monkeypatch, [*argv, "--out", "out"])
+        out, err = capsys.readouterr()
+        root = tmp_path / "out"
+        files = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        shutil.rmtree(root, ignore_errors=True)
+        assert multiprocessing.active_children() == []
+        return code, out, err, files
+
+    @pytest.mark.parametrize("command, refused", [
+        ("aggregate", "every fork"), ("aggregate", "the second fork"), ("all-figures", "every fork"),
+    ])
+    def test_refused_fork_fits_in_this_process(
+        self, corpus_dir, all_figures_run, tmp_path, monkeypatch, capsys, report_cpus, command, refused
+    ):
+        if command == "aggregate":
+            argv = ["aggregate", "--tweets", str(corpus_dir / "tweets.csv"), "--levels", "1,7"]
+        else:
+            data = all_figures_run[0] / "data"
+            argv = ["all-figures", "--tweets", str(data / "tweets.csv"),
+                    "--events", str(data / "events.csv"), *OUTCOMES, "--q-steps", "2", "--grid-n", "201"]
+        report_cpus(1)
+        serial = self.run(tmp_path, monkeypatch, capsys, argv)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if refused == "every fork" or len(forks) > 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        pools = report_cpus(2)
+        monkeypatch.setattr(os, "fork", fork)
+        assert self.run(tmp_path, monkeypatch, capsys, argv) == serial
+        assert serial[0] == 0
+        assert pools == ["fork"]
+        assert len(forks) == (1 if refused == "every fork" else 2)
+
+    def test_a_killed_worker_is_one_line(self, corpus_dir, tmp_path, monkeypatch, capsys, report_cpus):
+        report_cpus(2)
+        monkeypatch.setattr(inference, "run_unit_fit", fit_killing_its_worker)
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(60)
+        try:
+            code, out, err, files = self.run(tmp_path, monkeypatch, capsys, [
+                "aggregate", "--tweets", str(corpus_dir / "tweets.csv"), "--levels", "7",
+            ])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out, files) == (1, "", {})
+        assert err.startswith("worker error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("failing", ["falsify", "aggregate"])
+    def test_failing_all_figures_fails_as_on_one_cpu(
+        self, all_figures_run, tmp_path, monkeypatch, capsys, report_cpus, failing
+    ):
+        data = all_figures_run[0] / "data"
+        argv = ["all-figures", "--tweets", str(data / "tweets.csv"),
+                "--events", str(data / "events.csv"), *OUTCOMES]
+        if failing == "falsify":
+            # no fitting periods before 10000 held-out days; the aggregate,
+            # the next step, was submitted before it
+            argv += ["--cutoff-days", "10000"]
+            expected = (2, "data error: cutoff of 10000 days leaves no fitting periods")
+        else:
+            search = inference.optimize_v
+
+            def search_failing_off_treated(problem):
+                if problem.treated != "UG":
+                    monkeypatch.setattr(synth, "_equality_solve", lambda *args: None)
+                return search(problem)
+
+            monkeypatch.setattr(inference, "optimize_v", search_failing_off_treated)
+            expected = (3, "inference error: simplex weight solver")
+        runs, pools = [], []
+        for cpus in (2, 1):
+            pools.append(report_cpus(cpus))
+            runs.append(self.run(tmp_path, monkeypatch, capsys, argv))
+        assert runs[0] == runs[1]
+        code, out, err, files = runs[0]
+        assert (code, out, files) == (expected[0], "", {})
+        assert err.startswith(expected[1])
+        assert err.count("\n") == 1
+        assert pools == [["fork"], []]
+
+    def test_no_v_search_imports_no_multiprocessing(self, corpus_dir, tmp_path):
+        code = (
+            "import sys; from synthpanel.cli import main; "
+            f"code = main(['aggregate', '--tweets', {str(corpus_dir / 'tweets.csv')!r}, "
+            f"'--levels', '10,28', '--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False False"
