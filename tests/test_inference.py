@@ -18,7 +18,7 @@ from synthpanel.classify import (
     bot_filter, load_lexicons, read_tweets_csv, tweet_table, twitter_outcomes, user_period_flags,
 )
 from synthpanel.demo import CorpusSpec, write_corpus
-from synthpanel.errors import InferenceError, PanelRangeError
+from synthpanel.errors import DataError, InferenceError, PanelRangeError
 from synthpanel.inference import (
     EstimatorConfig,
     aggregation_suite,
@@ -209,6 +209,51 @@ class TestWorkerProcesses:
             with fork.Pool(1) as daemons:
                 dist = daemons.apply_async(placebo_distribution, case).get(timeout=60)
         assert distribution_bits(dist) == expected
+
+
+@pytest.fixture(scope="module")
+def small_table(tmp_path_factory):
+    spec = CorpusSpec(countries=("UG", "KE", "GH", "RW", "TZ", "ZM", "ZW"),
+                      pre_days=60, post_days=20, base_users=4.0, seed=19)
+    path = tmp_path_factory.mktemp("corpus")
+    write_corpus(path, spec)
+    lexicons = load_lexicons()
+    return tweet_table(bot_filter(read_tweets_csv(path / "tweets.csv"), lexicons), lexicons, spec.anchor)
+
+
+class TestAggregationPhases:
+    """The 1- and 7-day levels' fits are submitted before the other levels
+    are estimated; the first level to fail, in level order, raises."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("levels, failing, expected", [
+        ((1, 7), 7, "search failed"),  # level 1's fit fails before level 7's panel
+        ((7, 1), 7, "no panel at 7 days"),
+        ((1, 10), 10, "search failed"),
+        ((10, 1), 10, "no panel at 10 days"),
+    ])
+    def test_first_failing_level_raises(
+        self, small_table, report_cpus, monkeypatch, cpus, levels, failing, expected
+    ):
+        real_prepare = inference.prepare_outcome
+
+        def prepare(*args, level_days=None, **kwargs):
+            if level_days == failing:
+                raise DataError(f"no panel at {failing} days")
+            return real_prepare(*args, level_days=level_days, **kwargs)
+
+        def search(problem):
+            raise InferenceError("search failed")
+
+        pools = report_cpus(cpus)
+        monkeypatch.setattr(inference, "prepare_outcome", prepare)
+        monkeypatch.setattr(inference, "optimize_v", search)
+        with pytest.raises((DataError, InferenceError), match=f"^{expected}$"):
+            aggregation_suite(small_table, "UG", levels=levels, window_days=(60, 20))
+        assert multiprocessing.active_children() == []
+        # the pool starts when the subsampled levels' fits are submitted; with
+        # levels (7, 1) the run stops at level 7's panel, before that
+        assert pools == (["fork"] if cpus == 2 and levels != (7, 1) else [])
 
 
 class TestPointwiseBand:
