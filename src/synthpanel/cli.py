@@ -437,17 +437,24 @@ def cmd_all_figures(args, inputs: RunInputs) -> Output:
 
     The aggregate is submitted first, right after ingest: its V searches,
     treated and placebo, run in the pool's worker processes while this
-    process computes the other steps, and it is collected at its place in
-    the order. Ingest and the window are also build-panel's first work, so
-    an error there is the one build-panel raises; the aggregate's later
-    errors are raised where it is collected, as in a serial run.
+    process computes every other step, diffusion included, and it is
+    collected at its place in the order. Ingest and the window are also
+    build-panel's first work, so an error there is the one build-panel
+    raises. The aggregate's later errors are raised where it is collected,
+    and diffusion's after them, as in a serial run.
     """
     if args.tweets:
         inputs.aggregation("users")
     outputs = [step(args, inputs) for step in (cmd_build_panel, cmd_estimate, cmd_placebo, cmd_falsify)]
+    try:
+        diffusion, diffusion_error = cmd_diffusion(args, inputs), None
+    except Exception as exc:  # raised once the aggregate has been collected
+        diffusion, diffusion_error = None, exc
     if args.tweets:
         outputs.append(cmd_aggregate(argparse.Namespace(**{**vars(args), "outcomes": ["users"]}), inputs))
-    outputs.append(cmd_diffusion(args, inputs))
+    if diffusion_error is not None:
+        raise diffusion_error
+    outputs.append(diffusion)
     lines = [line for output in outputs for line in output.lines]
     return Output([file for output in outputs for file in output.files], lines + ["all artifacts written"])
 

@@ -916,7 +916,7 @@ class TestRunPool:
         assert err.startswith("worker error: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("failing", ["falsify", "aggregate"])
+    @pytest.mark.parametrize("failing", ["falsify", "aggregate", "diffusion", "aggregate and diffusion"])
     def test_failing_all_figures_fails_as_on_one_cpu(
         self, all_figures_run, tmp_path, monkeypatch, capsys, report_cpus, failing
     ):
@@ -928,7 +928,12 @@ class TestRunPool:
             # the next step, was submitted before it
             argv += ["--cutoff-days", "10000"]
             expected = (2, "data error: cutoff of 10000 days leaves no fitting periods")
-        else:
+        if "diffusion" in failing:
+            # diffusion is computed before the aggregate is collected, but
+            # its error comes after the aggregate's
+            argv += ["--q-steps", "0"]
+            expected = (2, "data error: q_steps must be at least 1, got 0")
+        if "aggregate" in failing:
             search = inference.optimize_v
 
             def search_failing_off_treated(problem):
