@@ -130,12 +130,14 @@ class FitPool:
     not spawn: a spawned worker imports numpy afresh and runs without the
     caller's module state.
 
-    Leaving a `with` block joins the workers; on an error it first cancels
-    the fits no worker has taken.
+    Leaving a `with` block joins the workers. On an error it first
+    cancels the fits no worker has taken and stops the workers, since
+    the fits they are running are of no more use.
     """
 
     def __init__(self):
         self._workers = None  # the executor, once started
+        self._forked = []     # its worker processes
         # one start at most: a started executor runs a thread of its own,
         # which would fail the next start's thread check
         self._tried = False
@@ -145,6 +147,9 @@ class FitPool:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._workers is not None:
+            if exc_type is not None:
+                for worker in self._forked:
+                    worker.terminate()
             self._workers.shutdown(cancel_futures=exc_type is not None)
             self._workers = None
 
@@ -194,6 +199,7 @@ class FitPool:
             workers.shutdown(cancel_futures=True)
             return _SerialFit(task)
         self._workers = workers
+        self._forked = [worker for worker in multiprocessing.active_children() if worker not in before]
         return future
 
 

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -846,10 +847,19 @@ class TestWindow:
         assert cli._window_days(args, np.array([-31, 5])) == (31, 6)
 
 
+run_unit_fit = inference.run_unit_fit
+
+
 def fit_killing_its_worker(panel, unit, pool, cfg):
     if multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
-    return inference.run_unit_fit(panel, unit, pool, cfg)
+    return run_unit_fit(panel, unit, pool, cfg)
+
+
+def fit_stalling_in_its_worker(panel, unit, pool, cfg):
+    if multiprocessing.parent_process() is not None:
+        time.sleep(20)
+    return run_unit_fit(panel, unit, pool, cfg)
 
 
 def give_up(signum, frame):
@@ -915,6 +925,21 @@ class TestRunPool:
         assert (code, out, files) == (1, "", {})
         assert err.startswith("worker error: ")
         assert err.count("\n") == 1
+
+    def test_a_failing_run_stops_its_workers(self, corpus_dir, tmp_path, monkeypatch, capsys, report_cpus):
+        # every worker fit would take 20 s; falsify, which runs while they
+        # do, finds no fitting periods and fails the run
+        report_cpus(2)
+        monkeypatch.setattr(inference, "run_unit_fit", fit_stalling_in_its_worker)
+        start = time.perf_counter()
+        code, out, err, files = self.run(tmp_path, monkeypatch, capsys, [
+            "all-figures", "--tweets", str(corpus_dir / "tweets.csv"),
+            "--events", str(corpus_dir / "events.csv"),
+        ])
+        assert time.perf_counter() - start < 10.0  # no wait for the stalled fits
+        assert (code, out, err, files) == (
+            2, "", "data error: cutoff of 100 days leaves no fitting periods (panel starts at -10)\n", {}
+        )
 
     @pytest.mark.parametrize("failing", ["falsify", "aggregate", "diffusion", "aggregate and diffusion"])
     def test_failing_all_figures_fails_as_on_one_cpu(
