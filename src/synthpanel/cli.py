@@ -16,7 +16,7 @@ import hashlib
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .inference import (
     EstimatorConfig,
     FitPool,
     OutcomeEstimate,
-    collect_aggregation_suite,
     estimate_outcome,
     falsification_run,
     prepare_outcome,
@@ -57,6 +56,7 @@ from .panel import (
     DEFAULT_ANCHOR,
     EPOCH,
     _LAST_DAY,
+    SUPPORTED_PERIOD_LENGTHS,
     PanelSeries,
     PeriodCalendar,
     SampleRestriction,
@@ -169,9 +169,10 @@ class RunInputs:
     files afresh. The tweet CSV is parsed, bot-filtered and classified
     into one tweet table; its flags are built once for the run's calendar
     and its outcome panels once per window. An outcome's estimate is
-    computed once per window, for both `estimate` and `placebo`. The V
-    searches of a run go to its one `pool`, which `main()` closes. Callers
-    must not mutate what they get back.
+    computed once per window, for both `estimate` and `placebo`, and its
+    aggregation collector once. Every estimate's fits go through
+    `inference.submit_estimates`, the V searches to the run's one `pool`,
+    which `main()` closes. Callers must not mutate what they get back.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -179,7 +180,7 @@ class RunInputs:
         self.pool = FitPool()
         self._twitter_panels: dict[tuple[int, int], dict[str, PanelSeries]] = {}
         self._estimates: dict[tuple[str, tuple[int, ...]], OutcomeEstimate] = {}
-        self._aggregations: dict[str, list] = {}
+        self._aggregations: dict[str, Callable[[], dict[int, OutcomeEstimate]]] = {}
 
     @cached_property
     def calendar(self) -> PeriodCalendar:
@@ -239,9 +240,10 @@ class RunInputs:
             self._estimates[key] = estimate_outcome(panel, self.args.treated, cfg)
         return self._estimates[key]
 
-    def aggregation(self, outcome: str) -> list:
-        """The outcome's pending aggregation suite over the run's window,
-        from `submit_aggregation_suite` on the run's pool."""
+    def aggregation(self, outcome: str) -> Callable[[], dict[int, OutcomeEstimate]]:
+        """The collector of the outcome's aggregation suite over the run's
+        window, from `submit_aggregation_suite` on the run's pool: its
+        levels are prepared and their fits submitted on the first call."""
         if outcome not in self._aggregations:
             self._aggregations[outcome] = submit_aggregation_suite(
                 self.pool, self.tweets, self.args.treated,
@@ -391,7 +393,7 @@ def cmd_aggregate(args, inputs: RunInputs) -> Output:
     outcome = args.outcomes[0]
     if outcome not in OUTCOME_NAMES:
         raise ConfigurationError(f"aggregate takes a Twitter outcome, not {outcome!r}")
-    results = collect_aggregation_suite(inputs.aggregation(outcome))
+    results = inputs.aggregation(outcome)()
     files, lines = [], []
     for level in sorted(results):
         est = results[level]
@@ -435,13 +437,14 @@ def cmd_diffusion(args, inputs: RunInputs) -> Output:
 def cmd_all_figures(args, inputs: RunInputs) -> Output:
     """Every step's files and lines, in step order.
 
-    The aggregate is submitted first, right after ingest: its V searches,
-    treated and placebo, run in the pool's worker processes while this
-    process computes every other step, diffusion included, and it is
-    collected at its place in the order. Ingest and the window are also
-    build-panel's first work, so an error there is the one build-panel
-    raises. The aggregate's later errors are raised where it is collected,
-    and diffusion's after them, as in a serial run.
+    The aggregate is submitted first, right after ingest: its levels are
+    prepared up to the first that fails, and its V searches, treated and
+    placebo, run in the pool's worker processes while this process
+    computes every other step, diffusion included. It is collected at its
+    place in the order, where its plain 10- and 28-day fits run. Ingest
+    and the window are also build-panel's first work, so an error there
+    is the one build-panel raises. The aggregate's later errors are raised
+    where it is collected, and diffusion's after them, as in a serial run.
     """
     if args.tweets:
         inputs.aggregation("users")
@@ -469,7 +472,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--events", type=str, default=None, help="event CSV path")
     parser.add_argument("--lexicons", type=str, default=None, help="lexicon directory")
     parser.add_argument("--anchor", type=dt.date.fromisoformat, default=DEFAULT_ANCHOR)
-    parser.add_argument("--period-days", type=int, default=10, choices=(1, 7, 10, 28))
+    parser.add_argument("--period-days", type=int, default=10, choices=SUPPORTED_PERIOD_LENGTHS)
     parser.add_argument("--treated", type=str, default="UG")
     parser.add_argument("--restriction", type=float, default=0.8)
     parser.add_argument("--t-min", type=int, default=None, help="first panel period (default: 100 pre days, or from data)")
@@ -615,6 +618,9 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
             ) from None
         if not args.levels:
             raise ConfigurationError("levels names no aggregation level")
+        for level in args.levels:
+            if level not in SUPPORTED_PERIOD_LENGTHS:
+                raise ConfigurationError(f"unsupported level {level}; choose from {SUPPORTED_PERIOD_LENGTHS}")
     return args
 
 

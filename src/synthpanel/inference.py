@@ -7,7 +7,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,18 +87,6 @@ def run_unit_fit(
 
 
 FitTask = tuple[PanelSeries, str, tuple[str, ...], EstimatorConfig]  # `run_unit_fit`'s arguments
-
-
-class _Ready:
-    """An outcome computed already: `result()` returns `value` or raises `error`."""
-
-    def __init__(self, value=None, error: Exception | None = None):
-        self.value, self.error = value, error
-
-    def result(self):
-        if self.error is not None:
-            raise self.error
-        return self.value
 
 
 class _SerialFit:
@@ -208,18 +196,6 @@ def _placebo_tasks(panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorCo
     return [(panel, donor, tuple(d for d in donors if d != donor), cfg) for donor in donors]
 
 
-def _placebo_fits(
-    panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig
-) -> list[SynthFit]:
-    """`run_unit_fit` of each donor on the other donors, in donor order.
-
-    The fits go to a `FitPool` of this call's own, so V-search fits run
-    in worker processes where that pays and the rest in this process.
-    """
-    with FitPool() as pool:
-        return [fit.result() for fit in pool.submit(_placebo_tasks(panel, donors, cfg))]
-
-
 def placebo_distribution(
     panel: PanelSeries,
     donors: Sequence[str],
@@ -231,9 +207,10 @@ def placebo_distribution(
 
     `treated_fit`, the treated unit's fit on `donors`, sets the scale.
     The genuinely treated unit never enters a placebo donor pool: its
-    post periods are contaminated by the intervention. `placebo_fits`,
-    the `FitPool` handles of the donors' fits in donor order, lets a
-    caller submit the fits early; by default they are fitted here.
+    post periods are contaminated by the intervention. `placebo_fits`
+    holds the `FitPool` handles of the donors' fits in donor order, as
+    `submit_estimates` returns them; by default the fits go to a
+    `FitPool` of this call's own.
     """
     donors = tuple(donors)
     if len(donors) < MIN_PLACEBO_DONORS:
@@ -247,12 +224,14 @@ def placebo_distribution(
         raise InferenceError("outcome panel is identically zero; placebo scaling undefined")
     floor = SIGMA_FLOOR_RATIO * scale
 
-    included, raw, scaled, sigmas, excluded = [], [], [], [], []
     if placebo_fits is None:
-        fits = _placebo_fits(panel, donors, cfg)
-    else:
-        fits = [fit.result() for fit in placebo_fits]
-    for donor, fit in zip(donors, fits):
+        with FitPool() as pool:
+            return placebo_distribution(
+                panel, donors, cfg, treated_fit, pool.submit(_placebo_tasks(panel, donors, cfg))
+            )
+
+    included, raw, scaled, sigmas, excluded = [], [], [], [], []
+    for donor, fit in zip(donors, (fit.result() for fit in placebo_fits)):
         if fit.rmse_pre < floor:
             excluded.append((donor, f"pre-period rmse {fit.rmse_pre:.3e} below floor {floor:.3e}"))
             continue
@@ -318,14 +297,47 @@ def averaged_post_effect(
     return AveragedEffect(value=value, band=(float(lo), float(hi)))
 
 
+class PendingEstimate(NamedTuple):
+    """An estimate whose unit fits went to a `FitPool`: the treated fit on
+    `donors`, then each donor's placebo fit in donor order."""
+
+    panel: PanelSeries
+    donors: tuple[str, ...]
+    cfg: EstimatorConfig
+    fits: list
+
+    def result(self) -> tuple[SynthFit, PlaceboDistribution]:
+        """The treated fit and its placebo distribution, raising errors in
+        the order that a serial estimate raises them."""
+        fit = self.fits[0].result()
+        return fit, placebo_distribution(self.panel, self.donors, self.cfg, fit, self.fits[1:])
+
+
+def submit_estimates(
+    pool: FitPool, treated: str, prepared: Sequence[tuple[PanelSeries, EstimatorConfig]]
+) -> list[PendingEstimate]:
+    """The estimate of `treated` on each (panel, config), against every other
+    country of the panel, with the unit fits of all of them sent to `pool`
+    in one batch."""
+    batches = []
+    for panel, cfg in prepared:
+        donors = tuple(c for c in panel.countries if c != treated)
+        batches.append((donors, [(panel, treated, donors, cfg), *_placebo_tasks(panel, donors, cfg)]))
+    handles = iter(pool.submit([task for _, tasks in batches for task in tasks]))
+    return [
+        PendingEstimate(panel, donors, cfg, [next(handles) for _ in tasks])
+        for (panel, cfg), (donors, tasks) in zip(prepared, batches)
+    ]
+
+
 def estimate_with_placebos(
     panel: PanelSeries, treated: str, cfg: EstimatorConfig
 ) -> tuple[SynthFit, PlaceboDistribution]:
-    """Treated fit on every other country plus its scaled placebo distribution."""
-    donors = tuple(c for c in panel.countries if c != treated)
-    fit = run_unit_fit(panel, treated, donors, cfg)
-    dist = placebo_distribution(panel, donors, cfg, treated_fit=fit)
-    return fit, dist
+    """Treated fit on every other country plus its scaled placebo distribution,
+    from `submit_estimates` on a `FitPool` of this call's own."""
+    with FitPool() as pool:
+        (estimate,) = submit_estimates(pool, treated, [(panel, cfg)])
+        return estimate.result()
 
 
 def falsification_run(
@@ -435,23 +447,6 @@ def estimate_outcome(panel: PanelSeries, treated: str, cfg: EstimatorConfig) -> 
     return _with_bands(panel, *estimate_with_placebos(panel, treated, cfg))
 
 
-class PendingEstimate(NamedTuple):
-    """An outcome's estimate whose unit fits went to a `FitPool`: the
-    treated fit, then each donor's placebo fit in donor order."""
-
-    panel: PanelSeries
-    treated: str
-    cfg: EstimatorConfig
-    fits: list
-
-    def result(self) -> OutcomeEstimate:
-        """The estimate, as `estimate_outcome` returns it and with its errors in the same order."""
-        donors = tuple(c for c in self.panel.countries if c != self.treated)
-        fit = self.fits[0].result()
-        dist = placebo_distribution(self.panel, donors, self.cfg, fit, placebo_fits=self.fits[1:])
-        return _with_bands(self.panel, fit, dist)
-
-
 def submit_aggregation_suite(
     pool: FitPool,
     table: TweetTable,
@@ -461,64 +456,42 @@ def submit_aggregation_suite(
     outcome: str = "users",
     transform: str = "log1p",
     window_days: tuple[int, int] | None = None,
-) -> list[tuple[int, object]]:
-    """The submit phase of `aggregation_suite`: each level and its pending
-    estimate, whose `result()` gives the level's `OutcomeEstimate`.
+) -> Callable[[], dict[int, OutcomeEstimate]]:
+    """`aggregation_suite` with its unit fits sent to `pool`: returns the
+    collector, whose call gives each level's `OutcomeEstimate`.
 
-    The subsampled levels (1 and 7 days) are prepared first, and all
-    their unit fits, treated and placebo, go to `pool` in one batch. The
-    other levels are then estimated here while the pool's workers search.
-    A level's error is not raised here: the level holds it and ends the
-    list, so `collect_aggregation_suite` raises the error that a serial
-    pass over the levels raises first.
+    The levels are prepared here in level order, up to the first that
+    fails to prepare, and all their unit fits go to `pool` in one batch:
+    the V searches of the subsampled levels to its workers, the plain fits
+    to run when collected. The collector estimates the levels in order,
+    then raises the held error, so it raises the error that a serial pass
+    over the levels raises first.
     """
+    prepared, error = {}, None
+    for level in dict.fromkeys(levels):
+        try:
+            cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
+            periods = None if window_days is None else window_periods(window_days, level)
+            panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
+            prepared[level] = prepare_outcome(
+                panels[outcome], treated, transform, users=panels["users"],
+                restriction=restriction, level_days=level,
+            )
+        except Exception as exc:  # raised by the collector, after the levels before it
+            error = exc
+            break
+    estimates = submit_estimates(pool, treated, list(prepared.values()))
 
-    def prepared(level: int) -> tuple[PanelSeries, EstimatorConfig]:
-        cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
-        periods = None if window_days is None else window_periods(window_days, level)
-        panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
-        return prepare_outcome(
-            panels[outcome], treated, transform, users=panels["users"],
-            restriction=restriction, level_days=level,
-        )
+    def collect() -> dict[int, OutcomeEstimate]:
+        results = {
+            level: _with_bands(panel, *estimate.result())
+            for (level, (panel, _)), estimate in zip(prepared.items(), estimates)
+        }
+        if error is not None:
+            raise error
+        return results
 
-    order, searched, entries = list(dict.fromkeys(levels)), {}, {}
-    for subsampled in (True, False):  # the V-search levels first, so their fits start early
-        for i, level in enumerate(order):
-            if (level in _FIT_SUBSAMPLE_STRIDE) != subsampled:
-                continue
-            try:
-                panel, cfg = prepared(level)
-                if subsampled:
-                    searched[level] = panel, cfg
-                else:
-                    entries[level] = _Ready(estimate_outcome(panel, treated, cfg))
-            except Exception as exc:  # raised again when the level is collected
-                entries[level], order = _Ready(error=exc), order[: i + 1]
-                break
-        if subsampled:
-            entries.update(_submit_estimates(pool, treated, searched))
-    return [(level, entries[level]) for level in order]
-
-
-def _submit_estimates(
-    pool: FitPool, treated: str, prepared: dict[int, tuple[PanelSeries, EstimatorConfig]]
-) -> dict[int, PendingEstimate]:
-    """Each prepared panel's estimate, its unit fits submitted to `pool` in one batch."""
-    tasks = {}
-    for key, (panel, cfg) in prepared.items():
-        donors = tuple(c for c in panel.countries if c != treated)
-        tasks[key] = [(panel, treated, donors, cfg), *_placebo_tasks(panel, donors, cfg)]
-    handles = iter(pool.submit([task for batch in tasks.values() for task in batch]))
-    return {
-        key: PendingEstimate(panel, treated, cfg, [next(handles) for _ in tasks[key]])
-        for key, (panel, cfg) in prepared.items()
-    }
-
-
-def collect_aggregation_suite(pending: list[tuple[int, object]]) -> dict[int, OutcomeEstimate]:
-    """The collect phase of `aggregation_suite`: each level's estimate, in level order."""
-    return {level: estimate.result() for level, estimate in pending}
+    return collect
 
 
 def aggregation_suite(
@@ -542,12 +515,11 @@ def aggregation_suite(
     its `window_periods`, so every level covers the same days; None spans
     the tweets.
 
-    This is `submit_aggregation_suite` and `collect_aggregation_suite` on
-    a `FitPool` of this call's own: the V searches of the subsampled
-    levels run in worker processes where that pays, while this process
-    estimates the other levels.
+    This is the collector of `submit_aggregation_suite` run on a
+    `FitPool` of this call's own, so the V searches of the subsampled
+    levels run in worker processes where that pays.
     """
     with FitPool() as pool:
-        return collect_aggregation_suite(submit_aggregation_suite(
+        return submit_aggregation_suite(
             pool, table, treated, levels, restriction, outcome, transform, window_days,
-        ))
+        )()

@@ -280,6 +280,23 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_unsupported_level_is_refused_before_ingest(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, report_cpus, where
+    ):
+        # level 1 is valid and would start the pool for its V searches
+        pools = report_cpus(2)
+        monkeypatch.setattr(cli, "read_tweets_csv", lambda path: pytest.fail("the tweets were read"))
+        (tmp_path / "run.toml").write_text('levels = "1,3"\n')
+        given = ["--levels", "1,3"] if where == "flag" else ["--config", "run.toml"]
+        code = run_in(tmp_path, monkeypatch, [
+            "aggregate", "--tweets", str(corpus_dir / "tweets.csv"), *given, "--out", "out",
+        ])
+        assert code == 2
+        assert capsys.readouterr() == ("", "data error: unsupported level 3; choose from (1, 7, 10, 28)\n")
+        assert pools == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
     def test_levels_without_a_number_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, where
     ):

@@ -139,6 +139,10 @@ def v_search_case():
     return panel, donors, cfg, run_unit_fit(panel, TREATED, donors, cfg)
 
 
+def fit_bits(fit):
+    return fit.weights.w.tobytes(), fit.v_diag.tobytes(), fit.effects.tobytes()
+
+
 def distribution_bits(dist):
     arrays = (dist.raw_effects, dist.scaled_effects, dist.sigmas)
     return dist.donors, [a.tobytes() for a in arrays], dist.sigma_treated.hex(), dist.excluded
@@ -164,14 +168,17 @@ class TestWorkerProcesses:
 
     def test_pooled_and_serial_fits_have_the_same_bits(self, report_cpus):
         case = v_search_case()
-        pooled = report_cpus(2)
-        from_workers = placebo_distribution(*case)
-        assert multiprocessing.active_children() == []
-        serial = report_cpus(1)
-        in_process = placebo_distribution(*case)
-        assert (pooled, serial) == (["fork"], [])
-        assert from_workers.excluded  # the twins
-        assert distribution_bits(from_workers) == distribution_bits(in_process)
+        panel, _, cfg, _ = case
+        runs = {}
+        for cpus in (2, 1):
+            pools = report_cpus(cpus)
+            dist = placebo_distribution(*case)
+            fit, estimated = estimate_with_placebos(panel, TREATED, cfg)  # its treated fit is pooled too
+            assert multiprocessing.active_children() == []
+            runs[cpus] = pools, distribution_bits(dist), fit_bits(fit), distribution_bits(estimated)
+        assert (runs[2][0], runs[1][0]) == (["fork", "fork"], [])
+        assert runs[2][1:] == runs[1][1:]
+        assert dist.excluded  # the twins
 
     def test_a_killed_worker_fails_the_call(self, report_cpus, monkeypatch):
         case = v_search_case()
@@ -222,8 +229,9 @@ def small_table(tmp_path_factory):
 
 
 class TestAggregationPhases:
-    """The 1- and 7-day levels' fits are submitted before the other levels
-    are estimated; the first level to fail, in level order, raises."""
+    """The levels are prepared in level order up to the first that fails,
+    and the prepared levels' fits are submitted in one batch; the first
+    level to fail, in level order, raises."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("levels, failing, expected", [
@@ -251,9 +259,9 @@ class TestAggregationPhases:
         with pytest.raises((DataError, InferenceError), match=f"^{expected}$"):
             aggregation_suite(small_table, "UG", levels=levels, window_days=(60, 20))
         assert multiprocessing.active_children() == []
-        # the pool starts when the subsampled levels' fits are submitted; with
-        # levels (7, 1) the run stops at level 7's panel, before that
-        assert pools == (["fork"] if cpus == 2 and levels != (7, 1) else [])
+        # the pool starts when a subsampled level's fits are submitted; a run
+        # whose first level fails to prepare, as a serial pass, submits none
+        assert pools == (["fork"] if cpus == 2 and levels[0] != failing else [])
 
 
 class TestPointwiseBand:
