@@ -168,18 +168,19 @@ class RunInputs:
     An instance lives as long as one `main()` call, so each run reads its
     files afresh. The tweet CSV is parsed, bot-filtered and classified
     into one tweet table; its flags are built once for the run's calendar
-    and its outcome panels once per window. An outcome's estimate is
-    computed once per window, for both `estimate` and `placebo`, and its
-    aggregation collector once. Every estimate's fits go through
-    `inference.submit_estimates`, the V searches to the run's one `pool`,
-    which `main()` closes. Callers must not mutate what they get back.
+    and its outcome panels once per window. An outcome is prepared and
+    estimated once over the run's window, for both `estimate` and
+    `placebo`, and its aggregation collector is built once. Every
+    estimate's fits go through `inference.submit_estimates`, the V searches
+    to the run's one `pool`, which `main()` closes. Callers must not
+    mutate what they get back.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.pool = FitPool()
         self._twitter_panels: dict[tuple[int, int], dict[str, PanelSeries]] = {}
-        self._estimates: dict[tuple[str, tuple[int, ...]], OutcomeEstimate] = {}
+        self._estimates: dict[str, OutcomeEstimate] = {}
         self._aggregations: dict[str, Callable[[], dict[int, OutcomeEstimate]]] = {}
 
     @cached_property
@@ -233,12 +234,11 @@ class RunInputs:
         )
 
     def estimate(self, outcome: str) -> OutcomeEstimate:
-        """The outcome's estimate over the run's window."""
-        panel, cfg = self.prepared(outcome)
-        key = (outcome, panel.periods)
-        if key not in self._estimates:
-            self._estimates[key] = estimate_outcome(panel, self.args.treated, cfg)
-        return self._estimates[key]
+        """The outcome's estimate over the run's window, which is fixed."""
+        if outcome not in self._estimates:
+            panel, cfg = self.prepared(outcome)
+            self._estimates[outcome] = estimate_outcome(panel, self.args.treated, cfg)
+        return self._estimates[outcome]
 
     def aggregation(self, outcome: str) -> Callable[[], dict[int, OutcomeEstimate]]:
         """The collector of the outcome's aggregation suite over the run's

@@ -3,11 +3,12 @@ restricted-window falsification, and aggregation robustness."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,21 +90,10 @@ def run_unit_fit(
 FitTask = tuple[PanelSeries, str, tuple[str, ...], EstimatorConfig]  # `run_unit_fit`'s arguments
 
 
-class _SerialFit:
-    """A `run_unit_fit` task that runs in this process when its result is first asked for."""
-
-    def __init__(self, task: FitTask):
-        self.task, self.fit = task, None
-
-    def result(self) -> SynthFit:
-        if self.fit is None:
-            self.fit = run_unit_fit(*self.task)
-        return self.fit
-
-
 class FitPool:
-    """Runs `run_unit_fit` tasks; `submit` returns a handle per task, whose
-    `result()` returns the fit or raises the fit's error.
+    """Runs `run_unit_fit` tasks; `submit` returns a call per task, which
+    returns the fit or raises the fit's error. Make each call once: a fit
+    that runs in this process runs again at every call.
 
     Fits that run a V search are independent, Python-bound and slow, so
     with 2 or more CPUs in the affinity mask they run in forked worker
@@ -111,8 +101,8 @@ class FitPool:
     holds such a fit, with one worker per CPU and at most one per fit of
     that batch, and serves every later batch. A worker runs the same code
     on the same inputs with the same BLAS, so it returns the same bits.
-    Every other fit runs in this process when its result is asked for, so
-    its error is raised where a serial run raises it: plain fits, which
+    Every other fit runs in this process when its call is made, so its
+    error is raised where a serial run raises it: plain fits, which
     cost less than a worker's round trip, and all fits on one CPU, beside
     another thread, in a daemonic process or after a refused fork. Fork,
     not spawn: a spawned worker imports numpy afresh and runs without the
@@ -141,25 +131,25 @@ class FitPool:
             self._workers.shutdown(cancel_futures=exc_type is not None)
             self._workers = None
 
-    def submit(self, tasks: Sequence[FitTask]) -> list:
+    def submit(self, tasks: Sequence[FitTask]) -> list[Callable[[], SynthFit]]:
         searches = [task[3].fit_pre_periods != task[3].all_pre_periods for task in tasks]
-        handles = []
+        calls = []
         for task, search in zip(tasks, searches):
+            call = None
             if search and not self._tried:
                 self._tried = True
-                handles.append(self._start(task, sum(searches)))
+                call = self._start(task, sum(searches))
             elif search and self._workers is not None:
-                handles.append(self._workers.submit(run_unit_fit, *task))
-            else:
-                handles.append(_SerialFit(task))
-        return handles
+                call = self._workers.submit(run_unit_fit, *task).result
+            calls.append(call or functools.partial(run_unit_fit, *task))
+        return calls
 
-    def _start(self, task: FitTask, fits: int):
-        """The task's future from a new pool of at most `fits` workers, or a
-        `_SerialFit` where a pool does not pay or cannot start."""
+    def _start(self, task: FitTask, fits: int) -> Callable[[], SynthFit] | None:
+        """The call that reads the task's fit from a new pool of at most
+        `fits` workers, or None where a pool does not pay or cannot start."""
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         if cpus < 2:
-            return _SerialFit(task)
+            return None
         # imported here, not at the top: these modules take about 20 ms to
         # import, which every CLI start would pay, and only V-search fits use them
         import multiprocessing
@@ -169,7 +159,7 @@ class FitPool:
         # thread held at the fork stays held there; a daemonic process may
         # not have children at all
         if threading.active_count() > 1 or multiprocessing.current_process().daemon:
-            return _SerialFit(task)
+            return None
         # an executor, not multiprocessing.Pool: when a worker dies (killed,
         # out of memory) the executor raises BrokenProcessPool, where a Pool
         # waits for the lost task forever
@@ -185,10 +175,10 @@ class FitPool:
                     worker.terminate()
                     worker.join()
             workers.shutdown(cancel_futures=True)
-            return _SerialFit(task)
+            return None
         self._workers = workers
         self._forked = [worker for worker in multiprocessing.active_children() if worker not in before]
-        return future
+        return future.result
 
 
 def _placebo_tasks(panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig) -> list[FitTask]:
@@ -201,16 +191,15 @@ def placebo_distribution(
     donors: Sequence[str],
     cfg: EstimatorConfig,
     treated_fit: SynthFit,
-    placebo_fits: Sequence | None = None,
+    placebo_fits: Sequence[Callable[[], SynthFit]] | None = None,
 ) -> PlaceboDistribution:
     """Re-run the estimator with each donor as pseudo-treated.
 
     `treated_fit`, the treated unit's fit on `donors`, sets the scale.
     The genuinely treated unit never enters a placebo donor pool: its
     post periods are contaminated by the intervention. `placebo_fits`
-    holds the `FitPool` handles of the donors' fits in donor order, as
-    `submit_estimates` returns them; by default the fits go to a
-    `FitPool` of this call's own.
+    holds the calls that `FitPool.submit` returns for the donors' fits, in
+    donor order; by default the fits go to a `FitPool` of this call's own.
     """
     donors = tuple(donors)
     if len(donors) < MIN_PLACEBO_DONORS:
@@ -231,7 +220,7 @@ def placebo_distribution(
             )
 
     included, raw, scaled, sigmas, excluded = [], [], [], [], []
-    for donor, fit in zip(donors, (fit.result() for fit in placebo_fits)):
+    for donor, fit in zip(donors, (fit() for fit in placebo_fits)):
         if fit.rmse_pre < floor:
             excluded.append((donor, f"pre-period rmse {fit.rmse_pre:.3e} below floor {floor:.3e}"))
             continue
@@ -297,35 +286,30 @@ def averaged_post_effect(
     return AveragedEffect(value=value, band=(float(lo), float(hi)))
 
 
-class PendingEstimate(NamedTuple):
-    """An estimate whose unit fits went to a `FitPool`: the treated fit on
-    `donors`, then each donor's placebo fit in donor order."""
-
-    panel: PanelSeries
-    donors: tuple[str, ...]
-    cfg: EstimatorConfig
-    fits: list
-
-    def result(self) -> tuple[SynthFit, PlaceboDistribution]:
-        """The treated fit and its placebo distribution, raising errors in
-        the order that a serial estimate raises them."""
-        fit = self.fits[0].result()
-        return fit, placebo_distribution(self.panel, self.donors, self.cfg, fit, self.fits[1:])
+def _read_estimate(
+    panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig, fits: list[Callable[[], SynthFit]]
+) -> tuple[SynthFit, PlaceboDistribution]:
+    """The treated fit and its placebo distribution from the estimate's fit
+    calls, treated first, raising errors in the order that a serial estimate
+    raises them."""
+    fit = fits[0]()
+    return fit, placebo_distribution(panel, donors, cfg, fit, fits[1:])
 
 
 def submit_estimates(
     pool: FitPool, treated: str, prepared: Sequence[tuple[PanelSeries, EstimatorConfig]]
-) -> list[PendingEstimate]:
+) -> list[Callable[[], tuple[SynthFit, PlaceboDistribution]]]:
     """The estimate of `treated` on each (panel, config), against every other
     country of the panel, with the unit fits of all of them sent to `pool`
-    in one batch."""
+    in one batch: one call per estimate, which gives its treated fit and
+    placebo distribution."""
     batches = []
     for panel, cfg in prepared:
         donors = tuple(c for c in panel.countries if c != treated)
         batches.append((donors, [(panel, treated, donors, cfg), *_placebo_tasks(panel, donors, cfg)]))
-    handles = iter(pool.submit([task for _, tasks in batches for task in tasks]))
+    calls = iter(pool.submit([task for _, tasks in batches for task in tasks]))
     return [
-        PendingEstimate(panel, donors, cfg, [next(handles) for _ in tasks])
+        functools.partial(_read_estimate, panel, donors, cfg, [next(calls) for _ in tasks])
         for (panel, cfg), (donors, tasks) in zip(prepared, batches)
     ]
 
@@ -337,7 +321,7 @@ def estimate_with_placebos(
     from `submit_estimates` on a `FitPool` of this call's own."""
     with FitPool() as pool:
         (estimate,) = submit_estimates(pool, treated, [(panel, cfg)])
-        return estimate.result()
+        return estimate()
 
 
 def falsification_run(
@@ -484,7 +468,7 @@ def submit_aggregation_suite(
 
     def collect() -> dict[int, OutcomeEstimate]:
         results = {
-            level: _with_bands(panel, *estimate.result())
+            level: _with_bands(panel, *estimate())
             for (level, (panel, _)), estimate in zip(prepared.items(), estimates)
         }
         if error is not None:

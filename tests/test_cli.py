@@ -776,6 +776,7 @@ def all_figures_run(tmp_path_factory):
         "cli_flags": CallCounter(cli.user_period_flags, period_days),
         "suite_flags": CallCounter(inference.user_period_flags, period_days),
         "estimates": CallCounter(cli.estimate_outcome, lambda panel, *args: panel.outcome_name),
+        "prepared": CallCounter(cli.prepare_outcome, lambda panel, *args: (panel.outcome_name, panel.t_min)),
     }
     with pytest.MonkeyPatch.context() as mp:
         for module, name, counter in (
@@ -783,7 +784,7 @@ def all_figures_run(tmp_path_factory):
             (cli, "bot_filter", "bot_filter"), (cli, "tweet_table", "table"),
             (classify, "ascii_lower", "lowercased"),
             (cli, "user_period_flags", "cli_flags"), (inference, "user_period_flags", "suite_flags"),
-            (cli, "estimate_outcome", "estimates"),
+            (cli, "estimate_outcome", "estimates"), (cli, "prepare_outcome", "prepared"),
         ):
             mp.setattr(module, name, counters[counter])
         code = main(["all-figures", "--tweets", str(root / "data" / "tweets.csv"),
@@ -811,6 +812,10 @@ class TestSharedIngest:
         _, seen = all_figures_run
         # falsify and aggregate fit other windows through their own library calls
         assert sorted(seen["estimates"]) == ["events", "prop_collective_users", "users"]
+        # each outcome is prepared twice: for the estimate, then falsify's 200-day window
+        assert sorted(seen["prepared"]) == sorted(
+            (outcome, t_min) for outcome in seen["estimates"] for t_min in (-10, -20)
+        )
 
     def test_each_run_reads_its_inputs_afresh(self, tmp_path, monkeypatch):
         shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")

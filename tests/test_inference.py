@@ -166,12 +166,15 @@ class TestWorkerProcesses:
     """V-search placebo fits run in forked workers when the affinity mask
     shows 2 or more CPUs; every other fit runs in the calling process."""
 
-    def test_pooled_and_serial_fits_have_the_same_bits(self, report_cpus):
+    def test_pooled_and_serial_fits_have_the_same_bits(self, report_cpus, monkeypatch):
         case = v_search_case()
         panel, _, cfg, _ = case
-        runs = {}
+        runs, fits = {}, []
         for cpus in (2, 1):
             pools = report_cpus(cpus)
+            if cpus == 1:  # every fit runs in this process, where it is counted
+                counted = lambda *task: fits.append(task) or run_unit_fit(*task)  # noqa: E731
+                monkeypatch.setattr(inference, "run_unit_fit", counted)
             dist = placebo_distribution(*case)
             fit, estimated = estimate_with_placebos(panel, TREATED, cfg)  # its treated fit is pooled too
             assert multiprocessing.active_children() == []
@@ -179,6 +182,7 @@ class TestWorkerProcesses:
         assert (runs[2][0], runs[1][0]) == (["fork", "fork"], [])
         assert runs[2][1:] == runs[1][1:]
         assert dist.excluded  # the twins
+        assert len(fits) == 17  # each fit once: 8 placebos, then 1 treated and 8 placebos
 
     def test_a_killed_worker_fails_the_call(self, report_cpus, monkeypatch):
         case = v_search_case()
