@@ -13,6 +13,7 @@ import argparse
 import csv
 import datetime as dt
 import hashlib
+import re
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -482,7 +483,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _split_outcomes(raw: str) -> list[str]:
-    outcomes = [o.strip() for o in raw.split(",") if o.strip()]
+    """The named outcomes in order, each once."""
+    outcomes = list(dict.fromkeys(o.strip() for o in raw.split(",") if o.strip()))
     for o in outcomes:
         if o not in ALL_OUTCOMES:
             raise ConfigurationError(f"unknown outcome {o!r}; choose from {ALL_OUTCOMES}")
@@ -543,6 +545,12 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a command-line error as a ConfigurationError: one line, exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher takes no exponent, so it reads "-1e-3" as an
+        # option; no option here looks like a number, so such a token is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         raise ConfigurationError(f"{self.prog}: {message}")

@@ -21,6 +21,9 @@ from .errors import ConfigurationError, DataError, EmptyPlatformError
 
 PLATFORM_FLOOR = 1e-12
 FIXED_POINT_TOL = 1e-8
+GRID_ZERO_TOL = 1e-12  # a grid residual this small is a fixed point on the grid
+BISECT_XTOL = 1e-10
+SIMULATION_ROUNDS = 500
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = math.sqrt(_TWO_PI)
@@ -256,12 +259,12 @@ class EquilibriumSet:
         return tuple(x for x, lab in zip(self.fixed_points, self.labels) if lab == "tipping")
 
 
-def _bisect_root(g: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10):
+def _bisect_root(g: Callable[[float], float], lo: float, hi: float):
     g_lo = g(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
-        if (hi - lo) < xtol and abs(g_mid) < 1e-9:
+        if (hi - lo) < BISECT_XTOL and abs(g_mid) < 1e-9:
             return mid
         if hi - lo < 1e-15:
             return mid
@@ -273,48 +276,45 @@ def _bisect_root(g: Callable[[float], float], lo: float, hi: float, xtol: float 
 
 
 def find_fixed_points(
-    fn: Callable, grid: np.ndarray, zero_tol: float = 1e-12
+    fn: Callable, grid: np.ndarray
 ) -> tuple[tuple[float, ...], tuple[str, ...], np.ndarray]:
-    """Locate and label fixed points of `fn` on a grid.
+    """Locate and label fixed points of `fn` on a grid, evaluating it there once.
 
     Sign changes of fn(x) - x between grid points are refined by
-    bisection; exact grid zeros (including the endpoints) are classified
-    by the sign of the residual on each side.
+    bisection; grid zeros (including the endpoints) are classified by the
+    sign of the residual on each side, or 'degenerate' beside another.
     """
     values = np.asarray(fn(grid), dtype=float)
     residual = values - grid
-    n = len(grid)
-    found: list[tuple[float, str]] = []
-    for i in range(n):
-        if abs(residual[i]) > zero_tol:
-            continue
-        left = residual[i - 1] if i > 0 else None
-        right = residual[i + 1] if i + 1 < n else None
-        left_zero = left is not None and abs(left) <= zero_tol
-        right_zero = right is not None and abs(right) <= zero_tol
-        if left_zero or right_zero:
-            label = "degenerate"
-        elif (left is None or left > 0) and (right is None or right < 0):
-            label = "stable"
-        elif (left is None or left < 0) and (right is None or right > 0):
-            label = "tipping"
-        else:
-            label = "degenerate"
-        found.append((float(grid[i]), label))
-    for i in range(n - 1):
-        r0, r1 = residual[i], residual[i + 1]
-        if abs(r0) <= zero_tol or abs(r1) <= zero_tol:
-            continue
-        if (r0 > 0) == (r1 > 0):
-            continue
+    # a nan residual is a grid zero, but neither a zero neighbour nor a zero crossing end
+    zero, near = ~(np.abs(residual) > GRID_ZERO_TOL), np.abs(residual) <= GRID_ZERO_TOL
+    above, below = residual > 0, residual < 0
+    # shifted masks: index i reads point i -/+ 1; a missing neighbour is no zero and fits either sign
+    flat = np.r_[False, near[:-1]] | np.r_[near[1:], False]
+    stable = ~flat & np.r_[True, above[:-1]] & np.r_[below[1:], True]
+    tipping = ~flat & np.r_[True, below[:-1]] & np.r_[above[1:], True]
+    label = np.where(stable, "stable", np.where(tipping, "tipping", "degenerate"))
+    found = [(float(grid[i]), str(label[i])) for i in np.flatnonzero(zero)]
+    for i in np.flatnonzero(~near[:-1] & ~near[1:] & (above[:-1] != above[1:])):
         root = _bisect_root(
             lambda x: float(np.asarray(fn(x)) - x), float(grid[i]), float(grid[i + 1])
         )
-        found.append((root, "stable" if r0 > 0 else "tipping"))
+        found.append((root, "stable" if above[i] else "tipping"))
     found.sort()
     points = tuple(x for x, _ in found)
     labels = tuple(lab for _, lab in found)
     return points, labels, values
+
+
+def _feasible_grid(q: float, v: ResponseFunction, p: PopulationParams, grid_n: int) -> np.ndarray:
+    """The points of the `grid_n`-point grid on [0, 1] where joining at
+    price q stays above PLATFORM_FLOOR; raises EmptyPlatformError if none."""
+    grid = np.linspace(0.0, 1.0, grid_n)
+    feasible = np.asarray(platform_probability(grid, q, v, p)) > PLATFORM_FLOOR
+    if not feasible.any():
+        raise EmptyPlatformError(f"platform empty on all of [0, 1] at price {q}")
+    # joining probability is nondecreasing in x, so feasibility is a suffix
+    return grid[int(np.argmax(feasible)):]
 
 
 def equilibria(
@@ -323,19 +323,14 @@ def equilibria(
     """All fixed points of phi on [0, 1] at price q.
 
     When the platform empties for small x the domain is truncated to the
-    participation range where joining probability stays above the floor.
-    The grid has `grid_n` points, at least 2; a phi that is not finite
-    on it raises ConfigurationError.
+    participation range where joining probability stays above the floor
+    (`_feasible_grid`). The grid has `grid_n` points, at least 2; phi is
+    evaluated on it once, and kept with it as `grid_x` and `grid_phi`. A
+    phi that is not finite on it raises ConfigurationError.
     """
     if grid_n < 2:
         raise ConfigurationError(f"grid_n must be at least 2, got {grid_n}")
-    grid = np.linspace(0.0, 1.0, grid_n)
-    feasible = np.asarray(platform_probability(grid, q, v, p)) > PLATFORM_FLOOR
-    if not feasible.any():
-        raise EmptyPlatformError(f"platform empty on all of [0, 1] at price {q}")
-    # joining probability is nondecreasing in x, so feasibility is a suffix
-    start = int(np.argmax(feasible))
-    sub = grid[start:]
+    sub = _feasible_grid(q, v, p, grid_n)
     with np.errstate(over="ignore", invalid="ignore"):  # a phi that is not finite is refused
         points, labels, values = find_fixed_points(lambda x: phi(x, q, v, p), sub)
     if not np.isfinite(values).all():
@@ -398,15 +393,16 @@ def theorem1_check(
     Negative cost/valuation covariance means the higher price retains
     low-cost protesters, raising phi everywhere; positive covariance
     lowers it. Violations beyond tolerance are reported, not raised.
+    phi is compared on the q_prime grid of the two prices' `equilibria`:
+    joining falls with the price, so it is a suffix of the q grid.
     """
     if q_prime <= q:
         raise ConfigurationError("q_prime must exceed q")
-    grid = np.linspace(0.0, 1.0, grid_n)
-    feasible = np.asarray(platform_probability(grid, q_prime, v, p)) > PLATFORM_FLOOR
-    if not feasible.any():
-        raise EmptyPlatformError(f"platform empty on all of [0, 1] at price {q_prime}")
-    sub = grid[int(np.argmax(feasible)):]
-    diff = np.asarray(phi(sub, q_prime, v, p)) - np.asarray(phi(sub, q, v, p))
+    _feasible_grid(q_prime, v, p, grid_n)  # an empty platform at q_prime is the first error
+    low = equilibria(q, v, p, grid_n)
+    high = equilibria(q_prime, v, p, grid_n)
+    sub = high.grid_x
+    diff = high.grid_phi - low.grid_phi[low.grid_x.size - sub.size:]
     if p.omega_cw < 0:
         expected = "nondecreasing"
         bad = diff < -tol
@@ -427,8 +423,8 @@ def theorem1_check(
         passed=not bool(bad.any()),
         max_violation=violation,
         offending_x=tuple(float(x) for x in sub[bad][:20]),
-        equilibria_low=equilibria(q, v, p, grid_n),
-        equilibria_high=equilibria(q_prime, v, p, grid_n),
+        equilibria_low=low,
+        equilibria_high=high,
     )
 
 
@@ -449,7 +445,6 @@ def agent_simulation(
     v: ResponseFunction,
     p: PopulationParams,
     seed: int,
-    max_rounds: int = 500,
 ) -> SimulationResult:
     """Monte Carlo oracle for the analytic fixed points.
 
@@ -467,7 +462,7 @@ def agent_simulation(
 
     def iterate(x0: float):
         x = x0
-        for rounds in range(1, max_rounds + 1):
+        for rounds in range(1, SIMULATION_ROUNDS + 1):
             vx = float(v(x))
             joiners = w >= q - vx
             n_joined = int(joiners.sum())
@@ -477,7 +472,7 @@ def agent_simulation(
             if abs(x_new - x) < 1e-6:
                 return x_new, rounds
             x = x_new
-        return x, max_rounds
+        return x, SIMULATION_ROUNDS
 
     x_zero, rounds_zero = iterate(0.0)
     if x_zero is None:

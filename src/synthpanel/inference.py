@@ -439,7 +439,8 @@ def submit_aggregation_suite(
     restriction: SampleRestriction = SampleRestriction(),
     outcome: str = "users",
     transform: str = "log1p",
-    window_days: tuple[int, int] | None = None,
+    *,
+    window_days: tuple[int, int],
 ) -> Callable[[], dict[int, OutcomeEstimate]]:
     """`aggregation_suite` with its unit fits sent to `pool`: returns the
     collector, whose call gives each level's `OutcomeEstimate`.
@@ -455,7 +456,7 @@ def submit_aggregation_suite(
     for level in dict.fromkeys(levels):
         try:
             cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
-            periods = None if window_days is None else window_periods(window_days, level)
+            periods = window_periods(window_days, level)
             panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
             prepared[level] = prepare_outcome(
                 panels[outcome], treated, transform, users=panels["users"],
@@ -485,7 +486,8 @@ def aggregation_suite(
     restriction: SampleRestriction = SampleRestriction(),
     outcome: str = "users",
     transform: str = "log1p",
-    window_days: tuple[int, int] | None = None,
+    *,
+    window_days: tuple[int, int],
 ) -> dict[int, OutcomeEstimate]:
     """Re-estimate one Twitter outcome at each aggregation level.
 
@@ -496,8 +498,7 @@ def aggregation_suite(
     fitting-period rule, then are estimated as `estimate_outcome` does,
     as the CLI's `estimate` does at one period length. `window_days`,
     the days (pre_days, post_days) around the anchor, gives each level
-    its `window_periods`, so every level covers the same days; None spans
-    the tweets.
+    its `window_periods`, so every level covers the same days.
 
     This is the collector of `submit_aggregation_suite` run on a
     `FitPool` of this call's own, so the V searches of the subsampled
@@ -505,5 +506,5 @@ def aggregation_suite(
     """
     with FitPool() as pool:
         return submit_aggregation_suite(
-            pool, table, treated, levels, restriction, outcome, transform, window_days,
+            pool, table, treated, levels, restriction, outcome, transform, window_days=window_days,
         )()

@@ -12,6 +12,10 @@ fiber path against full enumeration.
 `reference_simplex_qp` is a frozen copy of the library's simplex QP solver
 (active set, warm-start certificate, scaled retry) before its per-call
 overhead was cut; `test_synth` requires the library to match its bits.
+`reference_fixed_points` is a frozen copy of the diffusion module's grid
+scan for fixed points, one grid point at a time, before it was written
+with numpy masks; `test_diffusion` requires the library to match its
+points, labels and bits.
 
 The per-row references below read the tweet and event CSVs one row at a
 time into objects with aware UTC datetimes and dates, the way the program
@@ -290,6 +294,64 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
 
 
 reference_simplex_qp = _solve_simplex_qp
+
+
+def _bisect_root(g, lo: float, hi: float, xtol: float = 1e-10):
+    g_lo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if (hi - lo) < xtol and abs(g_mid) < 1e-9:
+            return mid
+        if hi - lo < 1e-15:
+            return mid
+        if (g_lo > 0) == (g_mid > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_fixed_points(fn, grid: np.ndarray, zero_tol: float = 1e-12):
+    """Fixed points of `fn` on a grid and their labels, with fn(grid).
+
+    Grid zeros are labelled by the residual's sign on each side; sign
+    changes between grid points are refined by bisection.
+    """
+    values = np.asarray(fn(grid), dtype=float)
+    residual = values - grid
+    n = len(grid)
+    found = []
+    for i in range(n):
+        if abs(residual[i]) > zero_tol:
+            continue
+        left = residual[i - 1] if i > 0 else None
+        right = residual[i + 1] if i + 1 < n else None
+        left_zero = left is not None and abs(left) <= zero_tol
+        right_zero = right is not None and abs(right) <= zero_tol
+        if left_zero or right_zero:
+            label = "degenerate"
+        elif (left is None or left > 0) and (right is None or right < 0):
+            label = "stable"
+        elif (left is None or left < 0) and (right is None or right > 0):
+            label = "tipping"
+        else:
+            label = "degenerate"
+        found.append((float(grid[i]), label))
+    for i in range(n - 1):
+        r0, r1 = residual[i], residual[i + 1]
+        if abs(r0) <= zero_tol or abs(r1) <= zero_tol:
+            continue
+        if (r0 > 0) == (r1 > 0):
+            continue
+        root = _bisect_root(
+            lambda x: float(np.asarray(fn(x)) - x), float(grid[i]), float(grid[i + 1])
+        )
+        found.append((root, "stable" if r0 > 0 else "tipping"))
+    found.sort()
+    points = tuple(x for x, _ in found)
+    labels = tuple(lab for _, lab in found)
+    return points, labels, values
 
 
 UTC = dt.timezone.utc

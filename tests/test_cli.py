@@ -150,6 +150,16 @@ class TestEstimate:
         averaged = read_rows(tmp_path / "out" / "estimate" / "events_averaged.csv")[0]
         assert float(averaged["value"]) > 0.0  # events rose for the treated country
 
+    def test_repeated_outcome_runs_once(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        assert cli._split_outcomes("users, tweets,users,,tweets") == ["users", "tweets"]
+        code = run_in(
+            tmp_path, monkeypatch,
+            ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
+             "--outcome", "users,users", "--out", "out"],
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("users: averaged post effect") == 1
+
     def test_svg_artifacts_written(self, corpus_dir, tmp_path, monkeypatch):
         run_in(
             tmp_path, monkeypatch,
@@ -716,6 +726,17 @@ class TestFlags:
         assert combined.pop("outcome") == ",".join(cli.ALL_OUTCOMES)
         del steps["outcome"]
         assert combined == steps
+
+
+    def test_negative_numbers_with_an_exponent_are_values(self, tmp_path, monkeypatch, capsys):
+        args = cli.build_parser().parse_args(["diffusion", "--q-min", "-1e-3", "--mu-w", "-1E+3"])
+        assert (args.q_min, args.mu_w) == (-1e-3, -1e3)
+        assert cli.build_parser().parse_args(["build-panel", "--t-min", "-3"]).t_min == -3
+        code = run_in(tmp_path, monkeypatch, ["diffusion", "--q-min", "-x", "--out", "out"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: synthpanel diffusion: argument --q-min: expected one argument\n"
+        )
 
 
 class TestStartup:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import oracles
 from synthpanel.diffusion import (
+    PLATFORM_FLOOR,
     PopulationParams,
     ResponseFunction,
     agent_simulation,
@@ -209,9 +211,54 @@ class TestEquilibria:
             equilibria(60.0, ResponseFunction.linear(0.01), p)
 
 
+GRID_RESIDUALS = st.one_of(
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 3e-12, math.nan]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), GRID_RESIDUALS), min_size=1, max_size=39,
+                unique_by=lambda knot: knot[0]))
+def test_fixed_points_match_the_frozen_grid_scan(knots):
+    """Points, labels and value bits equal the frozen one-point-at-a-time scan's."""
+    knots.sort()
+    grid = np.array([x for x, _ in knots])
+    targets = np.array([x + r for x, r in knots])  # exact zeros, tiny residuals, plateaus, a nan
+
+    def fn(x):  # np.interp could turn a knot beside a nan into a nan, so the grid reads the knots
+        return targets if np.ndim(x) else np.interp(x, grid, targets)
+
+    points, labels, values = find_fixed_points(fn, grid)
+    ref_points, ref_labels, ref_values = oracles.reference_fixed_points(fn, grid)
+    assert [x.hex() for x in points] == [x.hex() for x in ref_points]
+    assert labels == ref_labels
+    assert values.tobytes() == ref_values.tobytes()
+
+
 class TestTheorem1:
     def params(self, rho):
         return PopulationParams(mu_c=0.5, mu_w=0.5, sigma_c=0.15, sigma_w=1.0, rho=rho)
+
+    @pytest.mark.parametrize("mu_w, sigma_w, q", [
+        (0.5, 1.0, 0.1), (0.5, 1.0, 0.6),  # test_acceptance's grid: every point joins
+        (0.0, 0.1, 0.5),  # at q + 0.5 only x above about 0.3 joins
+    ])
+    @pytest.mark.parametrize("rho", [-0.8, -0.3, 0.0, 0.3, 0.8])
+    def test_report_matches_direct_phi_calls(self, mu_w, sigma_w, q, rho):
+        v = ResponseFunction.linear(1.0)
+        p = PopulationParams(mu_c=0.6, mu_w=mu_w, sigma_c=0.5, sigma_w=sigma_w, rho=rho)
+        report = theorem1_check(q, q + 0.5, v, p, grid_n=2001)
+        grid = np.linspace(0.0, 1.0, 2001)
+        sub = grid[platform_probability(grid, q + 0.5, v, p) > PLATFORM_FLOOR]
+        diff = phi(sub, q + 0.5, v, p) - phi(sub, q, v, p)
+        sign = int(np.sign(rho))
+        bad = {-1: diff < -1e-9, 0: np.abs(diff) > 1e-9, 1: diff > 1e-9}[sign]
+        violation = {-1: max(0.0, -diff.min()), 0: np.abs(diff).max(), 1: max(0.0, diff.max())}[sign]
+        assert report.passed == (not bad.any())
+        assert report.max_violation == float(violation)
+        assert report.offending_x == tuple(float(x) for x in sub[bad][:20])
+        assert np.array_equal(report.equilibria_high.grid_x, sub)
 
     def test_zero_covariance_no_change(self):
         report = theorem1_check(0.3, 0.8, V_LIN, self.params(0.0))
