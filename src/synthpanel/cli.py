@@ -168,27 +168,23 @@ class RunInputs:
 
     An instance lives as long as one `main()` call, so each run reads its
     files afresh. The tweet CSV is parsed, bot-filtered and classified
-    into one tweet table; its flags are built once for the run's calendar
-    and its outcome panels once per window. An outcome is prepared and
-    estimated once over the run's window, for both `estimate` and
-    `placebo`, and its aggregation collector is built once. Every
-    estimate's fits go through `inference.submit_estimates`, the V searches
-    to the run's one `pool`, which `main()` closes. Callers must not
-    mutate what they get back.
+    into one tweet table. This is the one place that builds panels from
+    it: its flags once per calendar and its outcome panels once per
+    calendar and window, shared by `estimate`, `falsify` and each
+    `aggregate` level. An outcome is prepared and estimated once over the
+    run's window, for both `estimate` and `placebo`, and its aggregation
+    collector is built once. Every estimate's fits go through
+    `inference.submit_estimates`, the V searches to the run's one `pool`,
+    which `main()` closes. Callers must not mutate what they get back.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.pool = FitPool()
-        self._twitter_panels: dict[tuple[int, int], dict[str, PanelSeries]] = {}
+        self._flags: dict[int, UserPeriodFlags] = {}
+        self._twitter_panels: dict[tuple[int, tuple[int, int]], dict[str, PanelSeries]] = {}
         self._estimates: dict[str, OutcomeEstimate] = {}
         self._aggregations: dict[str, Callable[[], dict[int, OutcomeEstimate]]] = {}
-
-    @cached_property
-    def calendar(self) -> PeriodCalendar:
-        return PeriodCalendar(
-            anchor_date=self.args.anchor, period_length_days=self.args.period_days
-        )
 
     @cached_property
     def tweets(self) -> TweetTable:
@@ -199,9 +195,12 @@ class RunInputs:
         tweets = bot_filter(read_tweets_csv(self.args.tweets), lexicons)
         return tweet_table(tweets, lexicons, self.args.anchor)
 
-    @cached_property
-    def flags(self) -> UserPeriodFlags:
-        return user_period_flags(self.tweets, self.calendar)
+    def flags(self, length: int) -> UserPeriodFlags:
+        """The tweets' user-period flags on the calendar of `length`-day periods."""
+        if length not in self._flags:
+            calendar = PeriodCalendar(anchor_date=self.args.anchor, period_length_days=length)
+            self._flags[length] = user_period_flags(self.tweets, calendar)
+        return self._flags[length]
 
     @cached_property
     def events(self) -> EventColumns:
@@ -209,29 +208,33 @@ class RunInputs:
             raise ConfigurationError("this command needs --events")
         return read_events_csv(self.args.events)
 
-    def twitter_panels(self, pre_factor: int = 1) -> dict[str, PanelSeries]:
+    def twitter_panels(self, pre_factor: int = 1, length: int | None = None) -> dict[str, PanelSeries]:
+        length = self.args.period_days if length is None else length
         window = _window_days(self.args, self.tweets.day, pre_factor)
-        periods = window_periods(window, self.args.period_days)
-        if periods not in self._twitter_panels:
-            self._twitter_panels[periods] = twitter_outcomes(self.flags, self.tweets, periods=periods)
-        return self._twitter_panels[periods]
+        periods = window_periods(window, length)
+        if (length, periods) not in self._twitter_panels:
+            flags = self.flags(length)
+            self._twitter_panels[length, periods] = twitter_outcomes(flags, self.tweets, periods=periods)
+        return self._twitter_panels[length, periods]
 
     def event_panel(self, pre_factor: int = 1) -> PanelSeries:
         window = _window_days(self.args, day_offsets(self.events.day, self.args.anchor), pre_factor)
-        return event_panel(
-            self.events, self.calendar, periods=window_periods(window, self.args.period_days)
-        )
+        calendar = PeriodCalendar(anchor_date=self.args.anchor, period_length_days=self.args.period_days)
+        return event_panel(self.events, calendar, periods=window_periods(window, self.args.period_days))
 
-    def prepared(self, outcome: str, pre_factor: int = 1) -> tuple[PanelSeries, EstimatorConfig]:
-        """The outcome's estimation panel and period split, from `prepare_outcome`."""
+    def prepared(
+        self, outcome: str, pre_factor: int = 1, level: int | None = None
+    ) -> tuple[PanelSeries, EstimatorConfig]:
+        """The outcome's estimation panel and period split, from `prepare_outcome`,
+        in periods of `level` days with the level's fitting periods if given."""
         if outcome == "events":
             panel, users = self.event_panel(pre_factor), None
         else:
-            panels = self.twitter_panels(pre_factor)
+            panels = self.twitter_panels(pre_factor, level)
             panel, users = panels[outcome], panels["users"]
         return prepare_outcome(
             panel, self.args.treated, _transform(self.args, outcome), users=users,
-            restriction=SampleRestriction(parameter=self.args.restriction),
+            restriction=SampleRestriction(parameter=self.args.restriction), level_days=level,
         )
 
     def estimate(self, outcome: str) -> OutcomeEstimate:
@@ -246,13 +249,12 @@ class RunInputs:
         window, from `submit_aggregation_suite` on the run's pool: its
         levels are prepared and their fits submitted on the first call."""
         if outcome not in self._aggregations:
+            # ingest and window errors raise here, not held by the first level:
+            # a failed ingest is not cached, so a held one would run again
+            _window_days(self.args, self.tweets.day)
             self._aggregations[outcome] = submit_aggregation_suite(
-                self.pool, self.tweets, self.args.treated,
-                levels=tuple(self.args.levels),
-                restriction=SampleRestriction(parameter=self.args.restriction),
-                outcome=outcome,
-                transform=_transform(self.args, outcome),
-                window_days=_window_days(self.args, self.tweets.day),
+                self.pool, self.args.treated,
+                lambda level: self.prepared(outcome, level=level), self.args.levels,
             )
         return self._aggregations[outcome]
 

@@ -308,7 +308,10 @@ def find_fixed_points(
 
 def _feasible_grid(q: float, v: ResponseFunction, p: PopulationParams, grid_n: int) -> np.ndarray:
     """The points of the `grid_n`-point grid on [0, 1] where joining at
-    price q stays above PLATFORM_FLOOR; raises EmptyPlatformError if none."""
+    price q stays above PLATFORM_FLOOR; raises EmptyPlatformError if none.
+    A grid of fewer than 2 points is a ConfigurationError."""
+    if grid_n < 2:
+        raise ConfigurationError(f"grid_n must be at least 2, got {grid_n}")
     grid = np.linspace(0.0, 1.0, grid_n)
     feasible = np.asarray(platform_probability(grid, q, v, p)) > PLATFORM_FLOOR
     if not feasible.any():
@@ -328,8 +331,6 @@ def equilibria(
     evaluated on it once, and kept with it as `grid_x` and `grid_phi`. A
     phi that is not finite on it raises ConfigurationError.
     """
-    if grid_n < 2:
-        raise ConfigurationError(f"grid_n must be at least 2, got {grid_n}")
     sub = _feasible_grid(q, v, p, grid_n)
     with np.errstate(over="ignore", invalid="ignore"):  # a phi that is not finite is refused
         points, labels, values = find_fixed_points(lambda x: phi(x, q, v, p), sub)

@@ -12,9 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classify import TweetTable, twitter_outcomes, user_period_flags
 from .errors import ConfigurationError, DataError, InferenceError, PanelRangeError
-from .panel import PanelSeries, PeriodCalendar, SampleRestriction, restrict_sample, window_periods
+from .panel import PanelSeries, SampleRestriction, restrict_sample
 from .synth import SynthFit, SynthProblem, fit_synth, optimize_v, package_fit
 
 MIN_PLACEBO_DONORS = 5
@@ -433,14 +432,9 @@ def estimate_outcome(panel: PanelSeries, treated: str, cfg: EstimatorConfig) -> 
 
 def submit_aggregation_suite(
     pool: FitPool,
-    table: TweetTable,
     treated: str,
-    levels: Sequence[int] = (1, 7, 10, 28),
-    restriction: SampleRestriction = SampleRestriction(),
-    outcome: str = "users",
-    transform: str = "log1p",
-    *,
-    window_days: tuple[int, int],
+    prepare: Callable[[int], tuple[PanelSeries, EstimatorConfig]],
+    levels: Sequence[int],
 ) -> Callable[[], dict[int, OutcomeEstimate]]:
     """`aggregation_suite` with its unit fits sent to `pool`: returns the
     collector, whose call gives each level's `OutcomeEstimate`.
@@ -455,13 +449,7 @@ def submit_aggregation_suite(
     prepared, error = {}, None
     for level in dict.fromkeys(levels):
         try:
-            cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
-            periods = window_periods(window_days, level)
-            panels = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)
-            prepared[level] = prepare_outcome(
-                panels[outcome], treated, transform, users=panels["users"],
-                restriction=restriction, level_days=level,
-            )
+            prepared[level] = prepare(level)
         except Exception as exc:  # raised by the collector, after the levels before it
             error = exc
             break
@@ -480,31 +468,21 @@ def submit_aggregation_suite(
 
 
 def aggregation_suite(
-    table: TweetTable,
     treated: str,
-    levels: Sequence[int] = (1, 7, 10, 28),
-    restriction: SampleRestriction = SampleRestriction(),
-    outcome: str = "users",
-    transform: str = "log1p",
-    *,
-    window_days: tuple[int, int],
+    prepare: Callable[[int], tuple[PanelSeries, EstimatorConfig]],
+    levels: Sequence[int],
 ) -> dict[int, OutcomeEstimate]:
-    """Re-estimate one Twitter outcome at each aggregation level.
+    """Re-estimate one outcome at each aggregation level.
 
-    `table` holds the bot-filtered tweets, classified once. Each level's
-    calendar is anchored at the table's anchor date and only regroups
-    the table's day offsets, so a level costs no lexicon pass. Each
-    level's panels go through `prepare_outcome` with the level's
-    fitting-period rule, then are estimated as `estimate_outcome` does,
-    as the CLI's `estimate` does at one period length. `window_days`,
-    the days (pre_days, post_days) around the anchor, gives each level
-    its `window_periods`, so every level covers the same days.
+    `prepare(level)` gives the level's panel and period split, as
+    `prepare_outcome` does with `level_days=level`: the level's fitting
+    periods and, on subsampled levels, a V search. Each level is then
+    estimated as `estimate_outcome` does, as the CLI's `estimate` does at
+    one period length.
 
     This is the collector of `submit_aggregation_suite` run on a
     `FitPool` of this call's own, so the V searches of the subsampled
     levels run in worker processes where that pays.
     """
     with FitPool() as pool:
-        return submit_aggregation_suite(
-            pool, table, treated, levels, restriction, outcome, transform, window_days=window_days,
-        )()
+        return submit_aggregation_suite(pool, treated, prepare, levels)()

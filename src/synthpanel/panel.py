@@ -49,8 +49,9 @@ class PeriodCalendar:
 
 
 def utf8_lines(path: Path | str) -> Iterator[str]:
-    """Lines of a UTF-8 text file, line endings kept; other bytes are a DataError."""
-    with open(path, encoding="utf-8", newline="") as f:
+    """Lines of a UTF-8 text file, line endings kept, less a leading byte
+    order mark; other bytes are a DataError."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
         try:
             yield from f
         except UnicodeDecodeError:

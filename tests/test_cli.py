@@ -3,6 +3,7 @@ import datetime as dt
 import errno
 import multiprocessing
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -794,8 +795,7 @@ def all_figures_run(tmp_path_factory):
         "bot_filter": CallCounter(cli.bot_filter, lambda records, lexicons: len(records)),
         "table": CallCounter(cli.tweet_table, lambda records, lexicons, anchor: len(records)),
         "lowercased": CallCounter(classify.ascii_lower, len),
-        "cli_flags": CallCounter(cli.user_period_flags, period_days),
-        "suite_flags": CallCounter(inference.user_period_flags, period_days),
+        "flags": CallCounter(cli.user_period_flags, period_days),
         "estimates": CallCounter(cli.estimate_outcome, lambda panel, *args: panel.outcome_name),
         "prepared": CallCounter(cli.prepare_outcome, lambda panel, *args: (panel.outcome_name, panel.t_min)),
     }
@@ -804,7 +804,7 @@ def all_figures_run(tmp_path_factory):
             (cli, "read_tweets_csv", "tweets"), (cli, "read_events_csv", "events"),
             (cli, "bot_filter", "bot_filter"), (cli, "tweet_table", "table"),
             (classify, "ascii_lower", "lowercased"),
-            (cli, "user_period_flags", "cli_flags"), (inference, "user_period_flags", "suite_flags"),
+            (cli, "user_period_flags", "flags"),
             (cli, "estimate_outcome", "estimates"), (cli, "prepare_outcome", "prepared"),
         ):
             mp.setattr(module, name, counters[counter])
@@ -826,16 +826,18 @@ class TestSharedIngest:
         # every text is lowercased once, by the bot filter or the table build
         (kept,) = seen["table"]
         assert len(seen["lowercased"]) <= seen["bot_filter"][0] + 4 * kept
-        assert seen["cli_flags"] == [10]  # one calendar for every outcome and window
-        assert seen["suite_flags"] == [1, 7, 10, 28]  # a level only regroups the table
+        # one build per calendar, shared by every outcome, window and aggregate level
+        assert seen["flags"] == [1, 7, 10, 28]
 
     def test_estimate_and_placebo_share_one_fit_per_outcome(self, all_figures_run):
         _, seen = all_figures_run
         # falsify and aggregate fit other windows through their own library calls
         assert sorted(seen["estimates"]) == ["events", "prop_collective_users", "users"]
-        # each outcome is prepared twice: for the estimate, then falsify's 200-day window
+        # each outcome is prepared twice: for the estimate, then falsify's 200-day window;
+        # users also once per aggregate level, 100 days back at 1, 7, 10 and 28 days
         assert sorted(seen["prepared"]) == sorted(
-            (outcome, t_min) for outcome in seen["estimates"] for t_min in (-10, -20)
+            [(outcome, t_min) for outcome in seen["estimates"] for t_min in (-10, -20)]
+            + [("users", t_min) for t_min in (-100, -15, -10, -4)]
         )
 
     def test_each_run_reads_its_inputs_afresh(self, tmp_path, monkeypatch):
@@ -865,6 +867,81 @@ class TestSharedIngest:
             assert [p.name for p in produced] == [p.name for p in alone]
             for p, q in zip(produced, alone):
                 assert without_provenance(p) == without_provenance(q), p.name
+
+
+def rewrite_csv(source: Path, target: Path, seed=None, final_newline=True, **dialect) -> None:
+    """Write `source`'s rows to `target` with LF line ends unless `dialect`
+    says otherwise, the data rows shuffled when given a seed."""
+    with open(source, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    if seed is not None:
+        random.Random(seed).shuffle(rows)
+    with open(target, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, **{"lineterminator": "\n", **dialect}).writerows([header, *rows])
+    if not final_newline:
+        target.write_bytes(target.read_bytes().rstrip(b"\n"))
+
+
+INPUT_VARIANTS = {
+    "rows shuffled, seed 0": {"seed": 0},
+    "rows shuffled, seed 1": {"seed": 1},
+    "CRLF line ends": {"lineterminator": "\r\n"},
+    "every field quoted": {"quoting": csv.QUOTE_ALL},
+    "no final newline": {"final_newline": False},
+}
+
+
+def output_tree(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestInputFormats:
+    """The readers see rows, not their order in the file or how the CSV spells them."""
+
+    def test_row_order_and_csv_spelling_keep_every_output(self, tmp_path, monkeypatch, capsys):
+        write_corpus(tmp_path / "corpus", LONG_SPEC)
+        (tmp_path / "data").mkdir()
+        # the same input paths and --out in every run, since the provenance hash covers them
+        argv = ["all-figures", "--tweets", "data/tweets.csv", "--events", "data/events.csv", *OUTCOMES,
+                "--levels", "7,28", "--q-steps", "2", "--grid-n", "201", "--out", "out"]
+        runs = {}
+        for name, variant in {"as written": {}, **INPUT_VARIANTS}.items():
+            inputs = []
+            for kind in ("tweets", "events"):
+                rewrite_csv(tmp_path / "corpus" / f"{kind}.csv", tmp_path / "data" / f"{kind}.csv", **variant)
+                inputs.append((tmp_path / "data" / f"{kind}.csv").read_bytes())
+            assert run_in(tmp_path, monkeypatch, argv) == 0, name
+            runs[name] = tuple(inputs), capsys.readouterr().out, output_tree(tmp_path / "out")
+            shutil.rmtree(tmp_path / "out")
+        written, stdout, files = runs.pop("as written")
+        for name, (inputs, variant_stdout, variant_files) in runs.items():
+            assert inputs != written, f"{name} left the inputs unchanged"
+            assert variant_stdout == stdout, name
+            assert variant_files == files, name
+
+    @pytest.mark.parametrize("kind", ["tweets", "events", "config", "lexicons"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, capsys, kind):
+        # as Excel's "CSV UTF-8" writes it; the collective lexicon's first phrase is "protest"
+        shutil.copytree(DEFAULT_LEXICON_DIR, tmp_path / "lexicons")
+        shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")
+        shutil.copy(DATA / "events_fixture.csv", tmp_path / "events.csv")
+        (tmp_path / "run.toml").write_text("t_min = -2\n")
+        marked = {
+            "tweets": tmp_path / "tweets.csv",
+            "events": tmp_path / "events.csv",
+            "config": tmp_path / "run.toml",
+            "lexicons": tmp_path / "lexicons" / "collective.txt",
+        }[kind]
+        argv = ["build-panel", "--tweets", "tweets.csv", "--events", "events.csv",
+                "--config", "run.toml", "--lexicons", "lexicons", "--out", "out"]
+        runs = []
+        for _ in range(2):
+            code = run_in(tmp_path, monkeypatch, argv)
+            runs.append((code, capsys.readouterr(), output_tree(tmp_path / "out")))
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
 
 
 class TestWindow:

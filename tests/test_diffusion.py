@@ -277,6 +277,12 @@ class TestTheorem1:
         assert report.passed
         assert report.expected == "nonincreasing"
 
+    @pytest.mark.parametrize("grid_n", [-1, 0, 1])
+    def test_grid_of_fewer_than_two_points_refused(self, grid_n):
+        p = PopulationParams(mu_c=0.6, mu_w=0.5, sigma_c=0.5, sigma_w=1.0, rho=0.3)
+        with pytest.raises(ConfigurationError, match=f"^grid_n must be at least 2, got {grid_n}$"):
+            theorem1_check(0.1, 0.6, ResponseFunction.linear(1.0), p, grid_n=grid_n)
+
     def test_equilibrium_shifts_follow_diffusion_ordering(self):
         report = theorem1_check(0.3, 0.8, V_LIN, self.params(-0.6))
         assert report.largest_stable_shift >= 0.0

@@ -29,9 +29,10 @@ from synthpanel.inference import (
     placebo_distribution,
     placebo_quantile,
     pointwise_band,
+    prepare_outcome,
     run_unit_fit,
 )
-from synthpanel.panel import PanelSeries, PeriodCalendar
+from synthpanel.panel import PanelSeries, PeriodCalendar, window_periods
 
 
 def default_cfg(panel):
@@ -222,6 +223,17 @@ class TestWorkerProcesses:
         assert distribution_bits(dist) == expected
 
 
+def level_prepare(table, window_days):
+    """The aggregation suite's `prepare`: the table's users panel over
+    `window_days` (pre_days, post_days) at each level, as the CLI builds it."""
+    def prepare(level):
+        cal = PeriodCalendar(anchor_date=table.anchor_date, period_length_days=level)
+        periods = window_periods(window_days, level)
+        users = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)["users"]
+        return prepare_outcome(users, "UG", users=users, level_days=level)
+    return prepare
+
+
 @pytest.fixture(scope="module")
 def small_table(tmp_path_factory):
     spec = CorpusSpec(countries=("UG", "KE", "GH", "RW", "TZ", "ZM", "ZW"),
@@ -247,21 +259,20 @@ class TestAggregationPhases:
     def test_first_failing_level_raises(
         self, small_table, report_cpus, monkeypatch, cpus, levels, failing, expected
     ):
-        real_prepare = inference.prepare_outcome
+        real_prepare = level_prepare(small_table, (60, 20))
 
-        def prepare(*args, level_days=None, **kwargs):
-            if level_days == failing:
+        def prepare(level):
+            if level == failing:
                 raise DataError(f"no panel at {failing} days")
-            return real_prepare(*args, level_days=level_days, **kwargs)
+            return real_prepare(level)
 
         def search(problem):
             raise InferenceError("search failed")
 
         pools = report_cpus(cpus)
-        monkeypatch.setattr(inference, "prepare_outcome", prepare)
         monkeypatch.setattr(inference, "optimize_v", search)
         with pytest.raises((DataError, InferenceError), match=f"^{expected}$"):
-            aggregation_suite(small_table, "UG", levels=levels, window_days=(60, 20))
+            aggregation_suite("UG", prepare, levels)
         assert multiprocessing.active_children() == []
         # the pool starts when a subsampled level's fits are submitted; a run
         # whose first level fails to prepare, as a serial pass, submits none
@@ -419,10 +430,8 @@ class TestAggregationHelpers:
         write_corpus(tmp_path, spec)
         lexicons = load_lexicons()
         records = bot_filter(read_tweets_csv(tmp_path / "tweets.csv"), lexicons)
-        results = aggregation_suite(
-            tweet_table(records, lexicons, spec.anchor), "UG",
-            levels=(1, 7, 10, 28), window_days=(60, 20),
-        )
+        table = tweet_table(records, lexicons, spec.anchor)
+        results = aggregation_suite("UG", level_prepare(table, (60, 20)), (1, 7, 10, 28))
         for level, res in results.items():
             assert res.averaged.value < 0.0, f"level {level} missed the drop"
         # the subsampled levels carry an optimized diagonal, the rest uniform
@@ -446,7 +455,7 @@ class TestAggregationHelpers:
 
         monkeypatch.setattr(classify, "ascii_lower", no_matching)
         monkeypatch.setattr(classify, "match_phrases", no_matching)
-        results = aggregation_suite(table, "UG", levels=(10, 28), window_days=(60, 20))
+        results = aggregation_suite("UG", level_prepare(table, (60, 20)), (10, 28))
         for level, periods in ((10, (-6, 1)), (28, (-3, 0))):
             cal = PeriodCalendar(anchor_date=spec.anchor, period_length_days=level)
             users = twitter_outcomes(user_period_flags(table, cal), table, periods=periods)["users"]
