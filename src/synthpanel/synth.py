@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, InferenceError
+from .errors import DataError, InferenceError, PanelRangeError
 from .panel import PanelSeries
 
 _SIMPLEX_TOL = 1e-9
@@ -38,6 +38,12 @@ _MIN_CURVATURE = 1e-8
 _V_MAX_SWEEPS = 200
 _V_MIN_STEP = 1e-6
 _EPS = float(np.finfo(float).eps)
+
+
+try:  # the gufuncs behind np.linalg.lstsq and eigvalsh; float64 arguments select their float64 loops
+    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh, lstsq as _lstsq
+except ImportError:  # numpy 1.x has no gufunc named lstsq: the public calls, which take the same arguments
+    _lstsq, _eigvalsh = np.linalg.lstsq, np.linalg.eigvalsh
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +77,8 @@ class SynthProblem:
             raise DataError("no fitting periods")
         if not set(self.pre_periods) <= set(self.all_pre_periods):
             raise DataError("fitting periods must be a subset of the full pre window")
-        pre_idx = self._columns(self.all_pre_periods)
-        self._columns(self.post_periods)
-        fit_idx = self._columns(self.pre_periods)
+        pre_idx, _, fit_idx = (_period_columns(self.Y.t_min, self.Y.t_max, tuple(periods))
+                               for periods in (self.all_pre_periods, self.post_periods, self.pre_periods))
         treated_row = self.Y.series(self.treated)
         donor_rows = self.Y.values[[self.Y.country_index(d) for d in self.donors]]
         for name, value in (
@@ -87,13 +92,16 @@ class SynthProblem:
         ):
             object.__setattr__(self, name, value)
 
-    def _columns(self, periods: Sequence[int]) -> np.ndarray:
-        """Column indices of `periods` in the panel; PanelRangeError for the first outside it."""
-        idx = np.array(periods, dtype=np.intp) - self.Y.t_min
-        outside = (idx < 0) | (idx >= len(self.Y.periods))
-        if outside.any():
-            self.Y.period_index(periods[int(outside.argmax())])
-        return idx
+
+@lru_cache(maxsize=64)  # the fits of one estimate share these
+def _period_columns(t_min: int, t_max: int, periods: tuple[int, ...]) -> np.ndarray:
+    """Column indices of `periods` in a panel over t_min..t_max; PanelRangeError for the first outside it."""
+    for t in periods:
+        if not t_min <= t <= t_max:
+            raise PanelRangeError(f"period {t} outside panel range {t_min}..{t_max}")
+    idx = np.array(periods, dtype=np.intp) - t_min
+    idx.setflags(write=False)
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,61 +130,63 @@ class SynthFit:
     rmse_pre: float
 
 
-def _equality_solve(A2: np.ndarray, b2: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray | None:
-    """Minimizer over {w: sum w = 1, w zero off idx}, ignoring nonnegativity.
+@np.errstate(invalid="ignore")  # a failed LAPACK call returns nan, which the isfinite test refuses
+def _equality_solve(kkt: np.ndarray, rhs: np.ndarray, sub: np.ndarray) -> np.ndarray | None:
+    """Minimizer over {w: sum w = 1, w zero off the support}, ignoring nonnegativity.
 
-    Least-squares on the KKT system [[2A, 1], [1', 0]] on idx (A2 = 2A, b2 = 2b)
-    handles rank-deficient supports (duplicate donors) deterministically. The
-    bits are lstsq's: however the KKT array is built, the same values must reach it.
+    Least-squares on the KKT system `kkt` = [[2A, 1], [1', 0]], `rhs` = [2b; 1],
+    restricted to rows and columns `sub` (the support, then the border), handles
+    rank-deficient supports (duplicate donors) deterministically. Its gufunc gets
+    the values and rcond that np.linalg.lstsq passes it, so the bits are lstsq's.
     """
-    k = idx.size
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = A2.take(idx, 0).take(idx, 1)
-    kkt[k, :k] = kkt[:k, k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[:k], rhs[k] = b2[idx], 1.0
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    if not np.isfinite(sol).all():
+    k = sub.size - 1
+    sol = _lstsq(kkt.take(sub, 0).take(sub, 1), rhs.take(sub, 0), _EPS * (k + 1))[0]
+    if not np.logical_and.reduce(np.isfinite(sol), None):  # .all() without its Python wrapper
         return None
-    target = np.zeros(n)
-    target[idx] = sol[:k]
+    target = np.zeros(kkt.shape[0] - 1)
+    target[sub[:-1]] = sol[:k, 0]
     return target
 
 
-def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, ...] | None:
+def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple | None:
     """Primal active-set method for w'Aw - 2b'w on the simplex.
 
     Starts at the feasible `w` (left unmodified), zero off the working `support`,
     then alternates equality solves on the support with ratio-test drops and
     most-negative-gradient additions until the support KKT conditions hold.
-    Returns (weights, final support, equality solve on it, gradient 2(Aw - b)
-    at the weights, for `_certified`), or None when no such point is found
-    within the cycle cap, a KKT solve is not finite or not stationary on its
-    support, or a drop leaves no weight. The weights are clip(target)/sum of
-    that equality solve, so their bits depend only on (A, b, final support).
+    Returns (weights, final support, equality solve on it, then for `_certified`
+    the least and greatest support gradient, 1 + max |gradient| and the least
+    off-support gradient or inf, all of 2(Aw - b) at the weights), or None when no
+    such point is found within the cycle cap, a KKT solve is not finite or not
+    stationary on its support, or a drop leaves no weight. The weights are clip(target)/sum
+    of that equality solve, so their bits depend only on (A, b, final support).
     """
     n = b.size
-    A2, b2 = 2.0 * A, 2.0 * b
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n], kkt[n, n] = 2.0 * A, 0.0
+    rhs = np.concatenate((2.0 * b, [1.0]))[:, None]
+    held = np.concatenate((support, [True]))  # the working support, then the border
     for _ in range(8 * n + 16):
-        idx = support.nonzero()[0]
-        target = _equality_solve(A2, b2, idx, n) if idx.size else None
+        sub = held.nonzero()[0]
+        idx = sub[:-1]
+        target = _equality_solve(kkt, rhs, sub) if idx.size else None
         if target is None:
             return None
         if min(target[idx].tolist()) >= -_FEASIBLE_TOL:
             w = np.maximum(target, 0.0)
-            w /= w.sum()
+            w /= np.add.reduce(w)  # the ufunc reductions of w.sum() and .max(), without their Python wrappers
             gradient = 2.0 * (A @ w - b)
             # Python min/max beat numpy on a few floats; a nan scale fails both tests, as numpy's would
-            scale = 1.0 + float(np.abs(gradient).max())
-            held = gradient[idx].tolist()
-            low = min(held)
-            if max(held) - low > _STATIONARY_TOL * scale:
+            scale = 1.0 + float(np.maximum.reduce(np.abs(gradient)))
+            on = gradient[idx].tolist()
+            low, high = min(on), max(on)
+            if high - low > _STATIONARY_TOL * scale:
                 return None
-            off = (~support).nonzero()[0]
+            off = (~held).nonzero()[0]
             j = off[gradient[off].argmin()] if off.size else None
             if j is None or gradient[j] >= low - _KKT_TOL * scale:
-                return w, support, target, gradient
-            support[j] = True
+                return w, held[:n], target, low, high, scale, math.inf if j is None else float(gradient[j])
+            held[j] = True
         else:
             direction = target - w  # sums to zero, so the move stays on the plane
             movers = idx[direction[idx] < -1e-18]
@@ -186,7 +196,7 @@ def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray
             k_drop = int(steps.argmin())
             w = np.maximum(w + max(0.0, float(steps[k_drop])) * direction, 0.0)
             w[movers[k_drop]] = 0.0
-            support[movers[k_drop]] = False
+            held[movers[k_drop]] = False
             total = w.sum()
             if total <= 0.0:  # the drop left no weight to rescale
                 return None
@@ -208,11 +218,12 @@ def _sum_zero_basis(k: int) -> np.ndarray:
     return Z
 
 
-def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
-               target: np.ndarray, gradient: np.ndarray) -> bool:
+@np.errstate(invalid="ignore")  # a failed LAPACK call returns nan eigenvalues, which refuse
+def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray, target: np.ndarray,
+               low: float, high: float, scale: float, lowest_off: float) -> bool:
     """Whether every start of the active-set method ends on `support`.
 
-    Takes `_active_set`'s answer, whose gradient 2(Aw - b) is the warm loop's
+    Takes `_active_set`'s answer, whose gradient values are the warm loop's
     last: the bits a fresh product would give. Holds when the minimizer is
     unique, `target` found it, and it clears the solver's tolerances widely:
     - every support weight of the equality solve is positive, and they
@@ -231,19 +242,14 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
     margin = _CERTIFICATE_MARGIN * _FEASIBLE_TOL
     if not (min(held.tolist()) > margin and abs(held.sum() - 1.0) <= margin):
         return False
-    rounding = 2.0 * b.size * _EPS * float((np.abs(A) @ w + np.abs(b)).max())
-    tol = _KKT_TOL * (1.0 + float(np.abs(gradient).max())) + rounding
-    on = gradient[idx].tolist()
-    top = max(on)
-    if not top - min(on) <= tol:
-        return False
-    if idx.size < b.size and not min(gradient[~support].tolist()) - top > _CERTIFICATE_MARGIN * tol:
+    tol = _KKT_TOL * scale + 2.0 * b.size * _EPS * float((np.abs(A) @ w + np.abs(b)).max())
+    if not (high - low <= tol and (idx.size == b.size or lowest_off - high > _CERTIFICATE_MARGIN * tol)):
         return False
     if idx.size == 1:
         return True
     Z = _sum_zero_basis(idx.size)
     # F-ordered, as A[idx][:, idx] lays it out: BLAS may round Z'AZ differently on another layout
-    eigenvalues = np.linalg.eigvalsh(Z.T @ np.asfortranarray(A.take(idx, 0).take(idx, 1)) @ Z)
+    eigenvalues = _eigvalsh(Z.T @ np.asfortranarray(A.take(idx, 0).take(idx, 1)) @ Z)
     return bool(eigenvalues[0] > _MIN_CURVATURE * max(1.0, eigenvalues[-1]))
 
 
@@ -266,12 +272,9 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
     if start is None:  # the vertex of least objective, A[j, j] - 2 b[j]; ties go to the first
         start = np.zeros(n)
         start[(A.diagonal() - 2.0 * b).argmin()] = 1.0
-    try:
-        warm = _active_set(A, b, start, start > 0)
-        if warm is not None and _certified(A, b, *warm):
-            return warm[0]
-    except np.linalg.LinAlgError:
-        pass
+    warm = _active_set(A, b, start, start > 0)
+    if warm is not None and _certified(A, b, *warm):
+        return warm[0]
     cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
     if cold is None:  # retry once with max|A| scaled into [1, 2), exactly, by a power of two
         scale = np.ldexp(1.0, 1 - np.frexp(np.abs(A).max())[1])
@@ -320,7 +323,7 @@ def effect_series(problem: SynthProblem, weights: WeightVector) -> np.ndarray:
 def mspe(problem: SynthProblem, weights: WeightVector, periods: Sequence[int]) -> float:
     """Mean squared prediction error of the fit over the given periods."""
     effects = effect_series(problem, weights)
-    return float(np.mean(effects[problem._columns(periods)] ** 2))
+    return float(np.mean(effects[_period_columns(problem.Y.t_min, problem.Y.t_max, tuple(periods))] ** 2))
 
 
 def _pre_mspe(problem: SynthProblem, effects: np.ndarray) -> float:

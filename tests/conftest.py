@@ -1,8 +1,11 @@
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from synthpanel import synth
 
 # property tests do real numerical work; wall-clock deadlines only add flakes,
 # and a fixed draw makes each run test the same examples
@@ -28,3 +31,44 @@ def report_cpus(monkeypatch):
         return started
 
     return report
+
+
+@pytest.fixture
+def public_lapack(monkeypatch):
+    """Binds the solver to np.linalg.lstsq and eigvalsh, its binding on numpy 1.x, in place of their gufuncs."""
+    monkeypatch.setattr(synth, "_lstsq", np.linalg.lstsq)
+    monkeypatch.setattr(synth, "_eigvalsh", np.linalg.eigvalsh)
+
+
+class LapackInputs:
+    """The arguments of every least-squares call, as (a, b, rcond), and of
+    every eigenvalue call that the solver makes while recording."""
+
+    def __init__(self):
+        self.lstsq, self.eigvalsh = synth._lstsq, synth._eigvalsh  # the bound calls
+        self.systems, self.hessians = [], []
+
+    def assert_public_bits(self):
+        """The bound calls give np.linalg's bits on every recorded input, lstsq's at its default rcond."""
+        for a, b, rcond in self.systems:
+            assert self.lstsq(a, b, rcond)[0].tobytes() == np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
+        for a in self.hessians:
+            assert self.eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+
+@pytest.fixture
+def lapack_inputs(monkeypatch):
+    """A LapackInputs that records from now until the test ends."""
+    inputs = LapackInputs()
+
+    def recorded_lstsq(a, b, rcond):
+        inputs.systems.append((a.copy(), b.copy(), rcond))
+        return inputs.lstsq(a, b, rcond)
+
+    def recorded_eigvalsh(a):
+        inputs.hessians.append(a.copy())
+        return inputs.eigvalsh(a)
+
+    monkeypatch.setattr(synth, "_lstsq", recorded_lstsq)
+    monkeypatch.setattr(synth, "_eigvalsh", recorded_eigvalsh)
+    return inputs

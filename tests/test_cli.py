@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,22 @@ class TestExitCodes:
             ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
              "--outcome", "users", "--out", "out"],
         )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inference error: simplex weight solver")
+        assert err.count("\n") == 1
+
+    def test_failed_lapack_call_is_inference_error(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        # a failed LAPACK call returns nan and raises the invalid flag: every
+        # solve is refused, the scaled retry too, and no warning escapes
+        monkeypatch.setattr(synth, "_lstsq", lambda a, b, rcond: (np.sqrt(np.full(b.shape, -1.0)),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_in(
+                tmp_path, monkeypatch,
+                ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
+                 "--outcome", "users", "--out", "out"],
+            )
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("inference error: simplex weight solver")

@@ -121,9 +121,20 @@ class TestColdFitGolden:
     bits; these cases compare the bits the solver returned when captured.
     """
 
-    @pytest.mark.parametrize("case", COLD_FIT_GOLDEN, ids=[f"seed{case['seed']}" for case in COLD_FIT_GOLDEN])
-    def test_same_bits_as_captured(self, case):
+    # each case through the solver's LAPACK gufuncs, and again ("-public") through np.linalg
+    @pytest.mark.parametrize("case, public", [(case, public) for case in COLD_FIT_GOLDEN for public in (False, True)],
+                             ids=[f"seed{case['seed']}" + ("-public" if public else "")
+                                  for case in COLD_FIT_GOLDEN for public in (False, True)])
+    def test_same_bits_as_captured(self, case, public, request):
+        if public:
+            request.getfixturevalue("public_lapack")
         assert cold_fit_bits(case["seed"]) == case
+
+    def test_bound_lapack_calls_match_public_calls(self, lapack_inputs):
+        # every KKT system and reduced Hessian of one panel's 21 cold fits
+        cold_fit_bits(COLD_FIT_GOLDEN[0]["seed"])
+        assert len(lapack_inputs.systems) > 100 and len(lapack_inputs.hessians) > 10
+        lapack_inputs.assert_public_bits()
 
 
 def v_search_case():

@@ -476,8 +476,13 @@ class TestVSearchGolden:
     an accept decision, so the bits of every score are compared too.
     """
 
-    @pytest.mark.parametrize("case", V_SEARCH_GOLDEN, ids=[case["id"] for case in V_SEARCH_GOLDEN])
-    def test_same_bits_as_captured(self, case, monkeypatch):
+    # each case through the solver's LAPACK gufuncs, and again ("-public") through np.linalg
+    @pytest.mark.parametrize("case, public", [(case, public) for case in V_SEARCH_GOLDEN for public in (False, True)],
+                             ids=[case["id"] + ("-public" if public else "")
+                                  for case in V_SEARCH_GOLDEN for public in (False, True)])
+    def test_same_bits_as_captured(self, case, public, monkeypatch, request):
+        if public:
+            request.getfixturevalue("public_lapack")
         countries = (case["treated"], *case["donors"])
         first, last = case["periods"]
         panel = PanelSeries("y", countries, tuple(range(first, last + 1)),
@@ -502,6 +507,19 @@ class TestVSearchGolden:
         assert [x.hex() for x in w.w.tolist()] == case["w"]
         # the pre-window MSPE that scores every candidate, at the returned weights
         assert synth.package_fit(problem, w, v).rmse_pre.hex() == case["rmse_pre"]
+
+    def test_bound_lapack_calls_match_public_calls(self, lapack_inputs):
+        # every KKT system and reduced Hessian of the three searches
+        for case in V_SEARCH_GOLDEN:
+            optimize_v(golden_problem(case))
+        assert len(lapack_inputs.systems) > 5000 and len(lapack_inputs.hessians) > 1000
+        lapack_inputs.assert_public_bits()
+
+    def test_one_least_squares_call_per_equality_solve(self, lapack_inputs, monkeypatch):
+        # a solve hidden outside _equality_solve would raise the LAPACK count
+        case = next(case for case in V_SEARCH_GOLDEN if case["id"] == "users-level1-SN")
+        _, solves = count_equality_solves(monkeypatch, optimize_v, golden_problem(case))
+        assert solves == len(lapack_inputs.systems) == 3458
 
     @pytest.mark.parametrize("case", V_SEARCH_GOLDEN, ids=[case["id"] for case in V_SEARCH_GOLDEN])
     def test_fewer_equality_solves_than_incumbent_starts(self, case, monkeypatch):
@@ -628,22 +646,26 @@ class TestWarmStart:
         start.setflags(write=False)
         assert np.array_equal(synth._solve_simplex_qp(A, b, start), synth._solve_simplex_qp(A, b))
 
-    @pytest.mark.parametrize("failure", ["non-finite", "raises"])
-    def test_failed_warm_attempt_falls_back_to_cold(self, failure, monkeypatch):
+    @pytest.mark.parametrize("name, failed", [
+        ("_equality_solve", lambda *args: None),
+        # a failed LAPACK call returns nan and raises the invalid flag, which must not warn
+        ("_lstsq", lambda a, rhs, rcond: (np.sqrt(np.full(rhs.shape, -1.0)),)),
+        ("_eigvalsh", lambda a: np.sqrt(np.full(len(a), -1.0))),
+    ], ids=["non-finite", "lapack-fails", "eigvalsh-fails"])
+    def test_failed_warm_attempt_falls_back_to_cold(self, name, failed, monkeypatch):
         A, b = self.full_rank_qp()
         cold = synth._solve_simplex_qp(A, b)
-        solve, calls = synth._equality_solve, []
+        real, calls = getattr(synth, name), []
 
-        def first_solve_fails(*args):
-            calls.append(args)
-            if len(calls) > 1:
-                return solve(*args)
-            if failure == "raises":
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return None
+        def first_call_fails(*args):
+            calls.append(None)
+            return (failed if len(calls) == 1 else real)(*args)
 
-        monkeypatch.setattr(synth, "_equality_solve", first_solve_fails)
-        assert np.array_equal(synth._solve_simplex_qp(A, b, np.array([0.1, 0.2, 0.3, 0.4])), cold)
+        monkeypatch.setattr(synth, name, first_call_fails)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(synth._solve_simplex_qp(A, b, np.array([0.1, 0.2, 0.3, 0.4])), cold)
+        assert calls
 
 
 @st.composite
