@@ -40,10 +40,26 @@ _V_MIN_STEP = 1e-6
 _EPS = float(np.finfo(float).eps)
 
 
-try:  # the gufuncs behind np.linalg.lstsq and eigvalsh; float64 arguments select their float64 loops
-    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh, lstsq as _lstsq
+def _public_linalg() -> tuple:
+    """np.linalg's lstsq, eigvalsh and solve, taking the gufuncs' arguments and, as the
+    gufuncs do, returning nan where LAPACK fails (the public calls raise LinAlgError)."""
+    def nan_on_failure(call, failed):
+        def bound(*args):
+            try:
+                return call(*args)
+            except np.linalg.LinAlgError:
+                return failed(*args)
+        return bound
+
+    return (nan_on_failure(np.linalg.lstsq, lambda a, b, rcond: (np.full(b.shape, np.nan),)),
+            nan_on_failure(np.linalg.eigvalsh, lambda a: np.full(len(a), np.nan)),
+            nan_on_failure(np.linalg.solve, lambda a, b: np.full(b.shape, np.nan)))
+
+
+try:  # the gufuncs behind np.linalg.lstsq, eigvalsh and solve; float64 arguments select their float64 loops
+    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh, lstsq as _lstsq, solve as _lu
 except ImportError:  # numpy 1.x has no gufunc named lstsq: the public calls, which take the same arguments
-    _lstsq, _eigvalsh = np.linalg.lstsq, np.linalg.eigvalsh
+    _lstsq, _eigvalsh, _lu = _public_linalg()
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +146,6 @@ class SynthFit:
     rmse_pre: float
 
 
-@np.errstate(invalid="ignore")  # a failed LAPACK call returns nan, which the isfinite test refuses
 def _equality_solve(kkt: np.ndarray, rhs: np.ndarray, sub: np.ndarray) -> np.ndarray | None:
     """Minimizer over {w: sum w = 1, w zero off the support}, ignoring nonnegativity.
 
@@ -148,12 +163,68 @@ def _equality_solve(kkt: np.ndarray, rhs: np.ndarray, sub: np.ndarray) -> np.nda
     return target
 
 
-def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple | None:
+def _bordered(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The KKT array [[2A, 1], [1', 0]] of w'Aw - 2b'w on the simplex, and its right-hand side [2b; 1]."""
+    n = b.size
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n], kkt[n, n] = 2.0 * A, 0.0
+    return kkt, np.concatenate((2.0 * b, [1.0]))[:, None]
+
+
+def _probe(A: np.ndarray, b: np.ndarray, kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Simplex weights near the minimizer of w'Aw - 2b'w, to start the exact method.
+
+    A lean primal active-set walk on LU solves of `kkt`, `rhs` from the vertex of least
+    objective A[j, j] - 2 b[j] (ties go to the first): add the donor of least gradient,
+    drop by the ratio test. With no tolerance or certificate of its own, it stops at the
+    KKT conditions, a non-finite (singular) solve, a zero step or its cycle cap, and
+    returns its last feasible point, clipped at each step and renormalized. No answer's
+    bits depend on it. It decides on Python floats, which beat numpy's reductions on a few values.
+    """
+    n = b.size
+    j = int((A.diagonal() - 2.0 * b).argmin())
+    w = np.zeros(n)
+    w[j] = 1.0
+    held = np.zeros(n + 1, dtype=bool)
+    held[[j, n]] = True  # the working support, then the border
+    idx = np.array([j])
+    stationary = True  # w minimizes the objective on its support
+    for _ in range(8 * n + 16):
+        if stationary:
+            gradient = A @ w - b  # half the gradient
+            level = min(gradient[idx].tolist())  # the support's, which the last solve made equal
+            gradient[idx] = np.inf
+            j = int(gradient.argmin())
+            if gradient[j] >= level:  # the KKT conditions hold, or no donor is left to add
+                break
+            held[j] = True
+        sub = held.nonzero()[0]
+        idx = sub[:-1]
+        solution = _lu(kkt.take(sub, 0).take(sub, 1), rhs.take(sub, 0))[:, 0]
+        values = solution.tolist()  # the weights, then the multiplier
+        if not math.isfinite(sum(values)):  # a singular solve returns nan
+            break
+        x = w[idx]
+        blocked = [(xi / (xi - ti), i) for i, (xi, ti) in enumerate(zip(x.tolist(), values[:-1])) if ti < 0.0]
+        if not blocked:
+            w[idx], stationary = solution[:-1], True
+            continue
+        step, i = min(blocked)  # each step x / (x - t) lies in [0, 1)
+        if step == 0.0:  # the donor just added would leave at once: a singular support, no descent
+            break
+        w[idx] = np.maximum(x + step * (solution[:-1] - x), 0.0)  # so every x >= 0, and x - t > 0
+        w[idx[i]], held[idx[i]], stationary = 0.0, False, False
+    return w / np.add.reduce(w)
+
+
+def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
+                kkt: np.ndarray, rhs: np.ndarray) -> tuple | None:
     """Primal active-set method for w'Aw - 2b'w on the simplex.
 
     Starts at the feasible `w` (left unmodified), zero off the working `support`,
-    then alternates equality solves on the support with ratio-test drops and
-    most-negative-gradient additions until the support KKT conditions hold.
+    then alternates equality solves on the support, taken from `_bordered`'s
+    `kkt` and `rhs`, with ratio-test drops and most-negative-gradient
+    additions until the support KKT conditions hold.
     Returns (weights, final support, equality solve on it, then for `_certified`
     the least and greatest support gradient, 1 + max |gradient| and the least
     off-support gradient or inf, all of 2(Aw - b) at the weights), or None when no
@@ -162,9 +233,6 @@ def _active_set(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray
     of that equality solve, so their bits depend only on (A, b, final support).
     """
     n = b.size
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n], kkt[n, n] = 2.0 * A, 0.0
-    rhs = np.concatenate((2.0 * b, [1.0]))[:, None]
     held = np.concatenate((support, [True]))  # the working support, then the border
     for _ in range(8 * n + 16):
         sub = held.nonzero()[0]
@@ -218,7 +286,6 @@ def _sum_zero_basis(k: int) -> np.ndarray:
     return Z
 
 
-@np.errstate(invalid="ignore")  # a failed LAPACK call returns nan eigenvalues, which refuse
 def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray, target: np.ndarray,
                low: float, high: float, scale: float, lowest_off: float) -> bool:
     """Whether every start of the active-set method ends on `support`.
@@ -260,25 +327,29 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
     donor; if it finds no optimum, it reruns once at a power-of-two scale,
     then raises InferenceError. Every solve first runs the method warm, from
     simplex weights `start` (in a V search, the last answer of the same
-    move) with working support start > 0, or else from the vertex of least
-    objective. That answer is kept only when its final support is certified
-    (`_certified`): the cold solve then ends on the same support, and so
-    returns the same bits. Otherwise (cycle cap, a non-finite solve, or no
-    certificate) the cold solve runs.
+    move) with working support start > 0, or else from the point `_probe`
+    walks to from the vertex of least objective. That answer is kept only
+    when its final support is certified (`_certified`): the cold solve then
+    ends on the same support, and so returns the same bits. Otherwise (cycle
+    cap, a non-finite solve, or no certificate) the cold solve runs. The
+    probe, the warm attempt and the cold solve share one bordered KKT array.
     """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise DataError("non-finite outcome values in fitting window")
     n = b.size
-    if start is None:  # the vertex of least objective, A[j, j] - 2 b[j]; ties go to the first
-        start = np.zeros(n)
-        start[(A.diagonal() - 2.0 * b).argmin()] = 1.0
-    warm = _active_set(A, b, start, start > 0)
-    if warm is not None and _certified(A, b, *warm):
-        return warm[0]
-    cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
-    if cold is None:  # retry once with max|A| scaled into [1, 2), exactly, by a power of two
-        scale = np.ldexp(1.0, 1 - np.frexp(np.abs(A).max())[1])
-        cold = _active_set(A * scale, b * scale, np.full(n, 1.0 / n), np.ones(n, dtype=bool))
+    kkt, rhs = _bordered(A, b)
+    # a failed LAPACK call returns nan, which the isfinite tests and the eigenvalue comparison refuse
+    with np.errstate(invalid="ignore"):
+        if start is None:
+            start = _probe(A, b, kkt, rhs)
+        warm = _active_set(A, b, start, start > 0, kkt, rhs)
+        if warm is not None and _certified(A, b, *warm):
+            return warm[0]
+        cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool), kkt, rhs)
+        if cold is None:  # retry once with max|A| scaled into [1, 2), exactly, by a power of two
+            scale = np.ldexp(1.0, 1 - np.frexp(np.abs(A).max())[1])
+            A, b = A * scale, b * scale
+            cold = _active_set(A, b, np.full(n, 1.0 / n), np.ones(n, dtype=bool), *_bordered(A, b))
     if cold is None:
         raise InferenceError(f"simplex weight solver found no optimum for {n} donors")
     return cold[0]

@@ -35,25 +35,36 @@ def report_cpus(monkeypatch):
 
 @pytest.fixture
 def public_lapack(monkeypatch):
-    """Binds the solver to np.linalg.lstsq and eigvalsh, its binding on numpy 1.x, in place of their gufuncs."""
-    monkeypatch.setattr(synth, "_lstsq", np.linalg.lstsq)
-    monkeypatch.setattr(synth, "_eigvalsh", np.linalg.eigvalsh)
+    """Binds the solver to np.linalg's lstsq, eigvalsh and solve, as on numpy 1.x, in place of their gufuncs."""
+    for name, call in zip(("_lstsq", "_eigvalsh", "_lu"), synth._public_linalg()):
+        monkeypatch.setattr(synth, name, call)
 
 
 class LapackInputs:
-    """The arguments of every least-squares call, as (a, b, rcond), and of
-    every eigenvalue call that the solver makes while recording."""
+    """The arguments of every least-squares call, as (a, b, rcond), of
+    every eigenvalue call and of every LU solve, as (a, b), that the
+    solver makes while recording."""
 
     def __init__(self):
-        self.lstsq, self.eigvalsh = synth._lstsq, synth._eigvalsh  # the bound calls
-        self.systems, self.hessians = [], []
+        self.lstsq, self.eigvalsh, self.lu = synth._lstsq, synth._eigvalsh, synth._lu  # the bound calls
+        self.systems, self.hessians, self.lu_systems = [], [], []
 
     def assert_public_bits(self):
-        """The bound calls give np.linalg's bits on every recorded input, lstsq's at its default rcond."""
+        """The bound calls give np.linalg's bits on every recorded input, lstsq's at its default rcond.
+
+        On a singular system np.linalg.solve raises, and the bound LU solve must return nan.
+        """
         for a, b, rcond in self.systems:
             assert self.lstsq(a, b, rcond)[0].tobytes() == np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
         for a in self.hessians:
             assert self.eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+        for a, b in self.lu_systems:
+            try:
+                expected = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                expected = np.full(b.shape, np.nan)
+            with np.errstate(invalid="ignore"):  # the flag a failed gufunc raises
+                assert self.lu(a, b).tobytes() == expected.tobytes()
 
 
 @pytest.fixture
@@ -69,6 +80,37 @@ def lapack_inputs(monkeypatch):
         inputs.hessians.append(a.copy())
         return inputs.eigvalsh(a)
 
+    def recorded_lu(a, b):
+        inputs.lu_systems.append((a.copy(), b.copy()))
+        return inputs.lu(a, b)
+
     monkeypatch.setattr(synth, "_lstsq", recorded_lstsq)
     monkeypatch.setattr(synth, "_eigvalsh", recorded_eigvalsh)
+    monkeypatch.setattr(synth, "_lu", recorded_lu)
     return inputs
+
+
+@pytest.fixture(params=["vertex", "uniform", "random"])
+def stand_in_probe(request, monkeypatch):
+    """Replaces synth._probe with a plain start: the vertex of least objective,
+    uniform weights, or random simplex weights on a random support. The
+    certified warm attempt or the cold solve defines the bits, so no start
+    may change them."""
+    rng = np.random.default_rng(0)
+
+    def vertex(A, b, kkt, rhs):
+        w = np.zeros(b.size)
+        w[(A.diagonal() - 2.0 * b).argmin()] = 1.0
+        return w
+
+    def uniform(A, b, kkt, rhs):
+        return np.full(b.size, 1.0 / b.size)
+
+    def random(A, b, kkt, rhs):
+        w = np.zeros(b.size)
+        held = rng.choice(b.size, size=int(rng.integers(1, b.size + 1)), replace=False)
+        w[held] = rng.dirichlet(np.ones(held.size))
+        return w
+
+    monkeypatch.setattr(synth, "_probe", {"vertex": vertex, "uniform": uniform, "random": random}[request.param])
+    return request.param

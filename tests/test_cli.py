@@ -267,6 +267,29 @@ class TestExitCodes:
         assert err.startswith("inference error: simplex weight solver")
         assert err.count("\n") == 1
 
+    def test_raising_public_lapack_call_is_inference_error(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, request
+    ):
+        # numpy 1.x binds np.linalg's calls, which raise LinAlgError (a
+        # ValueError) on a failed call: the binding refuses it like a nan, so
+        # the run ends in an inference error, not a traceback
+        def failing(*args):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
+        request.getfixturevalue("public_lapack")  # binds the patched call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_in(
+                tmp_path, monkeypatch,
+                ["estimate", "--tweets", str(corpus_dir / "tweets.csv"),
+                 "--outcome", "users", "--out", "out"],
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inference error: simplex weight solver")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("first_failure", ["treated", "placebo"])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_solver_failure_in_v_search_is_inference_error(

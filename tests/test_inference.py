@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dgp import TREATED, factor_panel
 from oracles import quantile_sorted
-from synthpanel import classify, inference
+from synthpanel import classify, inference, synth
 from synthpanel.classify import (
     bot_filter, load_lexicons, read_tweets_csv, tweet_table, twitter_outcomes, user_period_flags,
 )
@@ -130,11 +130,39 @@ class TestColdFitGolden:
             request.getfixturevalue("public_lapack")
         assert cold_fit_bits(case["seed"]) == case
 
-    def test_bound_lapack_calls_match_public_calls(self, lapack_inputs):
-        # every KKT system and reduced Hessian of one panel's 21 cold fits
+    @pytest.mark.parametrize("case", COLD_FIT_GOLDEN, ids=[f"seed{case['seed']}" for case in COLD_FIT_GOLDEN])
+    def test_same_bits_from_any_probe_point(self, case, stand_in_probe):
+        # the probe only starts the exact walk, whose certified answer or the
+        # cold solve gives the bits
+        assert cold_fit_bits(case["seed"]) == case
+
+    def test_bound_lapack_calls_match_public_calls(self, lapack_inputs, monkeypatch):
+        # every LU solve, KKT system and reduced Hessian of one panel's 21 cold
+        # fits. The probe leaves the exact walk about one least-squares system
+        # per fit, so each fit's exact walk also runs from its vertex, which
+        # records the systems of the walk before the probe
+        solve = synth._solve_simplex_qp
+
+        def also_walked_from_the_vertex(A, b, start=None):
+            vertex = np.zeros(b.size)
+            vertex[(A.diagonal() - 2.0 * b).argmin()] = 1.0
+            synth._active_set(A, b, vertex, vertex > 0, *synth._bordered(A, b))
+            return solve(A, b, start)
+
+        monkeypatch.setattr(synth, "_solve_simplex_qp", also_walked_from_the_vertex)
         cold_fit_bits(COLD_FIT_GOLDEN[0]["seed"])
         assert len(lapack_inputs.systems) > 100 and len(lapack_inputs.hessians) > 10
+        assert len(lapack_inputs.lu_systems) > 100
         lapack_inputs.assert_public_bits()
+
+    def test_one_least_squares_call_per_certified_fit(self, lapack_inputs, monkeypatch):
+        # the probe walks each fit to its final support on LU solves, so the
+        # exact walk from there makes one least-squares call and is certified
+        certified, certify = [], synth._certified
+        monkeypatch.setattr(synth, "_certified", lambda *args: certified.append(certify(*args)) or certified[-1])
+        panel = factor_panel(0)
+        estimate_with_placebos(panel, TREATED, default_cfg(panel))
+        assert len(lapack_inputs.systems) == certified.count(True) == len(certified) == 21
 
 
 def v_search_case():
