@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, InferenceError, PanelRangeError
 from .panel import PanelSeries, SampleRestriction, restrict_sample
-from .synth import SynthFit, SynthProblem, fit_synth, optimize_v, package_fit
+from .synth import SynthFit, SynthProblem, fit_stack, fit_synth, optimize_v, package_fit
 
 MIN_PLACEBO_DONORS = 5
 SIGMA_FLOOR_RATIO = 1e-12
@@ -64,14 +64,8 @@ class AveragedEffect:
             raise InferenceError("band endpoints out of order")
 
 
-def run_unit_fit(
-    panel: PanelSeries, unit: str, pool: Sequence[str], cfg: EstimatorConfig
-) -> SynthFit:
-    """Fit one unit against its donor pool under the shared config.
-
-    When the fit uses a subsample of the pre window, V is searched for.
-    """
-    problem = SynthProblem(
+def _unit_problem(panel: PanelSeries, unit: str, pool: Sequence[str], cfg: EstimatorConfig) -> SynthProblem:
+    return SynthProblem(
         treated=unit,
         donors=tuple(pool),
         pre_periods=cfg.fit_pre_periods,
@@ -79,6 +73,16 @@ def run_unit_fit(
         post_periods=cfg.post_periods,
         Y=panel,
     )
+
+
+def run_unit_fit(
+    panel: PanelSeries, unit: str, pool: Sequence[str], cfg: EstimatorConfig
+) -> SynthFit:
+    """Fit one unit against its donor pool under the shared config.
+
+    When the fit uses a subsample of the pre window, V is searched for.
+    """
+    problem = _unit_problem(panel, unit, pool, cfg)
     if cfg.fit_pre_periods != cfg.all_pre_periods:
         # the search already fitted the weights for the V it returns
         v_diag, weights = optimize_v(problem)
@@ -92,7 +96,7 @@ FitTask = tuple[PanelSeries, str, tuple[str, ...], EstimatorConfig]  # `run_unit
 class FitPool:
     """Runs `run_unit_fit` tasks; `submit` returns a call per task, which
     returns the fit or raises the fit's error. Make each call once: a fit
-    that runs in this process runs again at every call.
+    that runs in this process outside a stack runs again at every call.
 
     Fits that run a V search are independent, Python-bound and slow, so
     with 2 or more CPUs in the affinity mask they run in forked worker
@@ -106,6 +110,11 @@ class FitPool:
     another thread, in a daemonic process or after a refused fork. Fork,
     not spawn: a spawned worker imports numpy afresh and runs without the
     caller's module state.
+
+    The plain fits of one batch on one panel and config share a stack
+    (`_PlainStack`): the first of their calls fits them all with
+    `fit_stack`, and each call returns its stacked fit or, for a fit the
+    stack left out, runs `run_unit_fit`, which raises the fit's error.
 
     Leaving a `with` block joins the workers. On an error it first
     cancels the fits no worker has taken and stops the workers, since
@@ -132,13 +141,15 @@ class FitPool:
 
     def submit(self, tasks: Sequence[FitTask]) -> list[Callable[[], SynthFit]]:
         searches = [task[3].fit_pre_periods != task[3].all_pre_periods for task in tasks]
-        calls = []
+        calls, stacks = [], {}
         for task, search in zip(tasks, searches):
             call = None
-            if search and not self._tried:
+            if not search:
+                call = stacks.setdefault((task[0], task[3]), _PlainStack()).add(task)
+            elif not self._tried:
                 self._tried = True
                 call = self._start(task, sum(searches))
-            elif search and self._workers is not None:
+            elif self._workers is not None:
                 call = self._workers.submit(run_unit_fit, *task).result
             calls.append(call or functools.partial(run_unit_fit, *task))
         return calls
@@ -178,6 +189,32 @@ class FitPool:
         self._workers = workers
         self._forked = [worker for worker in multiprocessing.active_children() if worker not in before]
         return future.result
+
+
+class _PlainStack:
+    """Plain fits on one panel and config, which `fit_stack` fits together
+    at the first call that reads one of them."""
+
+    def __init__(self):
+        self._tasks: list[FitTask] = []
+        self._fits: list[SynthFit | None] | None = None
+
+    def add(self, task: FitTask) -> Callable[[], SynthFit]:
+        self._tasks.append(task)
+        return functools.partial(self._read, len(self._tasks) - 1)
+
+    def _read(self, i: int) -> SynthFit:
+        if self._fits is None:
+            problems = []
+            for task in self._tasks:
+                try:
+                    problems.append(_unit_problem(*task))
+                except DataError:  # raised again by run_unit_fit, at this fit's own call
+                    problems.append(None)
+            fits = iter(fit_stack([problem for problem in problems if problem is not None]))
+            self._fits = [None if problem is None else next(fits) for problem in problems]
+        fit = self._fits[i]
+        return run_unit_fit(*self._tasks[i]) if fit is None else fit
 
 
 def _placebo_tasks(panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig) -> list[FitTask]:

@@ -42,7 +42,8 @@ _EPS = float(np.finfo(float).eps)
 
 def _public_linalg() -> tuple:
     """np.linalg's lstsq, eigvalsh and solve, taking the gufuncs' arguments and, as the
-    gufuncs do, returning nan where LAPACK fails (the public calls raise LinAlgError)."""
+    gufuncs do, returning nan where LAPACK fails (the public calls raise LinAlgError).
+    np.linalg.lstsq takes one system, so its binding solves a stack slice by slice."""
     def nan_on_failure(call, failed):
         def bound(*args):
             try:
@@ -51,15 +52,36 @@ def _public_linalg() -> tuple:
                 return failed(*args)
         return bound
 
-    return (nan_on_failure(np.linalg.lstsq, lambda a, b, rcond: (np.full(b.shape, np.nan),)),
-            nan_on_failure(np.linalg.eigvalsh, lambda a: np.full(len(a), np.nan)),
+    lstsq = nan_on_failure(np.linalg.lstsq, lambda a, b, rcond: (np.full(b.shape, np.nan),))
+
+    def sliced_lstsq(a, b, rcond):
+        return lstsq(a, b, rcond) if a.ndim == 2 else (np.array([lstsq(*system, rcond)[0] for system in zip(a, b)]),)
+
+    return (sliced_lstsq,
+            nan_on_failure(np.linalg.eigvalsh, lambda a: np.full(a.shape[:-1], np.nan)),
             nan_on_failure(np.linalg.solve, lambda a, b: np.full(b.shape, np.nan)))
+
+
+def _sliced_products() -> tuple:
+    """np.matvec and np.vecmat, which numpy gained in 2.2, as one `@` per slice of a stack."""
+    def matvec(a, x):
+        return a @ x if x.ndim == 1 else np.array([ai @ xi for ai, xi in zip(a, x)])
+
+    def vecmat(x, a):
+        return x @ a if x.ndim == 1 else np.array([xi @ ai for xi, ai in zip(x, a)])
+
+    return matvec, vecmat
 
 
 try:  # the gufuncs behind np.linalg.lstsq, eigvalsh and solve; float64 arguments select their float64 loops
     from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh, lstsq as _lstsq, solve as _lu
 except ImportError:  # numpy 1.x has no gufunc named lstsq: the public calls, which take the same arguments
     _lstsq, _eigvalsh, _lu = _public_linalg()
+# each slice of a stacked product gets the bits of its own product: BLAS runs once per slice
+try:
+    from numpy import matvec as _matvec, vecmat as _vecmat
+except ImportError:
+    _matvec, _vecmat = _sliced_products()
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +152,8 @@ class WeightVector:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DataError("weights must be a nonempty vector")
-        if not (w.min() >= -_SIMPLEX_TOL and abs(w.sum() - 1.0) <= _SIMPLEX_TOL):  # nan fails both
+        # nan fails both; the ufunc reductions of w.min() and w.sum(), without their Python wrappers
+        if not (np.minimum.reduce(w) >= -_SIMPLEX_TOL and abs(np.add.reduce(w) - 1.0) <= _SIMPLEX_TOL):
             raise DataError("weights violate simplex constraints")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -146,29 +169,48 @@ class SynthFit:
     rmse_pre: float
 
 
-def _equality_solve(kkt: np.ndarray, rhs: np.ndarray, sub: np.ndarray) -> np.ndarray | None:
+def _equality_solve(kkt: np.ndarray, rhs: np.ndarray, sub: np.ndarray,
+                    slices: np.ndarray | None = None) -> np.ndarray | None:
     """Minimizer over {w: sum w = 1, w zero off the support}, ignoring nonnegativity.
 
     Least-squares on the KKT system `kkt` = [[2A, 1], [1', 0]], `rhs` = [2b; 1],
     restricted to rows and columns `sub` (the support, then the border), handles
     rank-deficient supports (duplicate donors) deterministically. Its gufunc gets
     the values and rcond that np.linalg.lstsq passes it, so the bits are lstsq's.
+    None when the solve is not finite. Given `slices` of stacks `kkt` and `rhs`
+    and one row of `sub` per slice, all of one size, it solves those systems
+    in one call, which gives each the bits of its own: a system whose solve is
+    not finite gets nan weights, and None means that none has an answer.
     """
-    k = sub.size - 1
-    sol = _lstsq(kkt.take(sub, 0).take(sub, 1), rhs.take(sub, 0), _EPS * (k + 1))[0]
-    if not np.logical_and.reduce(np.isfinite(sol), None):  # .all() without its Python wrapper
-        return None
-    target = np.zeros(kkt.shape[0] - 1)
-    target[sub[:-1]] = sol[:k, 0]
+    k = sub.shape[-1] - 1
+    if slices is None:
+        sol = _lstsq(kkt.take(sub, 0).take(sub, 1), rhs.take(sub, 0), _EPS * (k + 1))[0]
+        if not np.logical_and.reduce(np.isfinite(sol), None):  # .all() without its Python wrapper
+            return None
+        target = np.zeros(kkt.shape[0] - 1)
+        target[sub[:-1]] = sol[:k, 0]
+        return target
+    rows = slices[:, None]
+    sol = _lstsq(kkt[rows[:, :, None], sub[:, :, None], sub[:, None, :]], rhs[rows, sub], _EPS * (k + 1))[0]
+    finite = np.logical_and.reduce(np.isfinite(sol), (1, 2))
+    target = np.zeros((slices.size, kkt.shape[-1] - 1))
+    target[np.arange(slices.size)[:, None], sub[:, :-1]] = sol[:, :k, 0]
+    if not np.logical_and.reduce(finite):
+        if not np.logical_or.reduce(finite):
+            return None
+        target[~finite] = np.nan
     return target
 
 
 def _bordered(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The KKT array [[2A, 1], [1', 0]] of w'Aw - 2b'w on the simplex, and its right-hand side [2b; 1]."""
-    n = b.size
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n], kkt[n, n] = 2.0 * A, 0.0
-    return kkt, np.concatenate((2.0 * b, [1.0]))[:, None]
+    """The KKT array [[2A, 1], [1', 0]] of w'Aw - 2b'w on the simplex, and its right-hand side [2b; 1],
+    of one QP or of each of a stack (a leading axis on both arguments)."""
+    n = b.shape[-1]
+    kkt = np.ones(A.shape[:-2] + (n + 1, n + 1))
+    kkt[..., :n, :n], kkt[..., n, n] = 2.0 * A, 0.0
+    rhs = np.ones(b.shape[:-1] + (n + 1, 1))
+    rhs[..., :n, 0] = 2.0 * b
+    return kkt, rhs
 
 
 def _probe(A: np.ndarray, b: np.ndarray, kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -287,7 +329,8 @@ def _sum_zero_basis(k: int) -> np.ndarray:
 
 
 def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray, target: np.ndarray,
-               low: float, high: float, scale: float, lowest_off: float) -> bool:
+               low: float | np.ndarray, high: float | np.ndarray, scale: float | np.ndarray,
+               lowest_off: float | np.ndarray) -> bool | np.ndarray:
     """Whether every start of the active-set method ends on `support`.
 
     Takes `_active_set`'s answer, whose gradient values are the warm loop's
@@ -303,21 +346,41 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
     The gradient tolerance is the solver's plus a bound on the rounding
     error of 2(Aw - b): at a perfect fit the gradient is rounding noise,
     and a gap of that size certifies nothing. A nan gradient refuses.
+    Written over the last axis: a stack of QPs (a leading axis on every
+    argument) gets an array of verdicts, with one eigenvalue call per
+    support size.
     """
-    idx = support.nonzero()[0]
-    held = target[idx]
+    n = b.shape[-1]
     margin = _CERTIFICATE_MARGIN * _FEASIBLE_TOL
-    if not (min(held.tolist()) > margin and abs(held.sum() - 1.0) <= margin):
-        return False
-    tol = _KKT_TOL * scale + 2.0 * b.size * _EPS * float((np.abs(A) @ w + np.abs(b)).max())
-    if not (high - low <= tol and (idx.size == b.size or lowest_off - high > _CERTIFICATE_MARGIN * tol)):
-        return False
-    if idx.size == 1:
-        return True
-    Z = _sum_zero_basis(idx.size)
-    # F-ordered, as A[idx][:, idx] lays it out: BLAS may round Z'AZ differently on another layout
-    eigenvalues = _eigvalsh(Z.T @ np.asfortranarray(A.take(idx, 0).take(idx, 1)) @ Z)
-    return bool(eigenvalues[0] > _MIN_CURVATURE * max(1.0, eigenvalues[-1]))
+    sizes = np.add.reduce(support, -1)
+    tol = _KKT_TOL * scale + 2.0 * n * _EPS * np.maximum.reduce(_matvec(np.abs(A), w) + np.abs(b), -1)
+    verdict = (
+        (np.minimum.reduce(target, -1, initial=np.inf, where=support) > margin)
+        & (abs(np.add.reduce(target, -1) - 1.0) <= margin)
+        & (high - low <= tol)
+        & ((sizes == n) | (lowest_off - high > _CERTIFICATE_MARGIN * tol))
+    )
+    if support.ndim == 1:
+        if verdict and sizes > 1:
+            idx = support.nonzero()[0]
+            # F-ordered, as A[idx][:, idx] lays it out: BLAS may round Z'AZ differently on another layout
+            verdict = _curved(np.asfortranarray(A.take(idx, 0).take(idx, 1)))
+        return bool(verdict)
+    curved = verdict & (sizes > 1)
+    for k in set(sizes[curved].tolist()):
+        rows = (curved & (sizes == k)).nonzero()[0]
+        idx = support[rows].nonzero()[1].reshape(-1, k)
+        # each slice F-ordered, as one QP's
+        verdict[rows] = _curved(A[rows[:, None, None], idx[:, None, :], idx[:, :, None]].transpose(0, 2, 1))
+    return verdict
+
+
+def _curved(hessians: np.ndarray) -> np.ndarray:
+    """Whether the Hessian on a support (or each of a stack) is positive definite over the sum-zero plane, with a margin."""
+    Z = _sum_zero_basis(hessians.shape[-1])
+    eigenvalues = _eigvalsh(Z.T @ hessians @ Z)
+    # fmax, as Python's max, takes 1 over a nan
+    return eigenvalues[..., 0] > _MIN_CURVATURE * np.fmax(1.0, eigenvalues[..., -1])
 
 
 def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -333,6 +396,10 @@ def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = N
     ends on the same support, and so returns the same bits. Otherwise (cycle
     cap, a non-finite solve, or no certificate) the cold solve runs. The
     probe, the warm attempt and the cold solve share one bordered KKT array.
+    `_solve_stack` runs the probe and the warm attempt's first pass on a
+    stack of plain fits and returns what this returns wherever that pass
+    ends certified; the plain fits it leaves out, and every V-search
+    candidate, are solved here.
     """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise DataError("non-finite outcome values in fitting window")
@@ -464,6 +531,91 @@ def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
 def fit_synth(problem: SynthProblem, v_diag: np.ndarray | None = None) -> SynthFit:
     """Fit weights (with the given or uniform V) and package the results."""
     return package_fit(problem, fit_weights(problem, v_diag), v_diag)
+
+
+def fit_stack(problems: Sequence[SynthProblem]) -> list[SynthFit | None]:
+    """`fit_synth` with the uniform V on many problems of one panel, fitted together.
+
+    Returns each problem's fit, with the bits `fit_synth` gives it, or None
+    where the stack leaves the problem to `fit_synth`: non-finite values in
+    its fitting window, or a probe point that the warm attempt's first
+    equality solve does not take to a certified answer. It never raises.
+    Problems with the same donor count, panel length and fitting and pre
+    windows form one stack: one product each gives every A and b and one
+    `np.vecmat` every effect series, and `_solve_stack` solves the QPs.
+    Each slice of a stacked product or LAPACK call gets the bits of its own.
+    """
+    fits: list[SynthFit | None] = [None] * len(problems)
+    stacks: dict[tuple, list[int]] = {}
+    for i, problem in enumerate(problems):
+        key = (problem.donor_rows.shape, problem.x0.size, problem.pre_idx.tobytes())
+        stacks.setdefault(key, []).append(i)
+    # a left-out QP or a failed LAPACK call gives nan (or inf), which the stack refuses
+    # without a warning: it never raises, and a left-out fit warns at its own call
+    with np.errstate(all="ignore"):
+        for members in stacks.values():
+            stack = [problems[i] for i in members]
+            p = stack[0].x0.size
+            v = np.full(p, 1.0 / p)
+            X1T = np.stack([problem.X1.T for problem in stack])  # so each slice of X1T.mT is laid out as X1
+            A = X1T @ (v[:, None] * X1T.transpose(0, 2, 1))
+            b = _matvec(X1T, v * np.stack([problem.x0 for problem in stack]))
+            weights, solved = _solve_stack(A, b)
+            rows = solved.nonzero()[0]
+            if not rows.size:
+                continue
+            effects = np.stack([stack[i].treated_row for i in rows]) - _vecmat(
+                weights[rows], np.stack([stack[i].donor_rows for i in rows]))
+            # C-ordered, as effects[:, pre_idx] is not: numpy sums a strided row in another order than _pre_mspe's
+            pre = effects.take(stack[0].pre_idx, 1)
+            rmse = np.sqrt(np.add.reduce(pre * pre, 1) / pre.shape[1]).tolist()
+            v_diags = np.full((rows.size, p), 1.0 / p)
+            for j, i in enumerate(rows.tolist()):
+                fits[members[i]] = SynthFit(WeightVector(weights[i]), v_diags[j], effects[j], rmse[j])
+    return fits
+
+
+def _solve_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_solve_simplex_qp`'s answers to a stack of QPs where its warm attempt ends at its first equality solve.
+
+    Each QP's probe point (`_probe`, per QP, on one stacked bordered array)
+    is confirmed as the warm attempt's first pass confirms it: one stacked
+    equality solve per support size, then the feasibility, stationarity and
+    KKT tests of `_active_set` and one `_certified` over the whole stack.
+    Returns the weights and a mask of the QPs they answer; the others
+    (non-finite data, a failed solve, a warm attempt that needs more solves
+    or is refused) are left to `_solve_simplex_qp`.
+    """
+    m, n = b.shape
+    solved = np.isfinite(A).all((1, 2)) & np.isfinite(b).all(1)
+    kkt, rhs = _bordered(A, b)
+    start = np.zeros((m, n))
+    for i in solved.nonzero()[0].tolist():
+        start[i] = _probe(A[i], b[i], kkt[i], rhs[i])
+    held = np.concatenate((start > 0, np.ones((m, 1), dtype=bool)), 1)  # the support, then the border
+    support = held[:, :n]
+    sizes = np.add.reduce(support, 1)
+    target = np.full((m, n), np.nan)
+    for k in set(sizes[solved].tolist()) - {0}:
+        rows = (solved & (sizes == k)).nonzero()[0]
+        found = _equality_solve(kkt, rhs, held[rows].nonzero()[1].reshape(-1, k + 1), rows)
+        if found is not None:
+            target[rows] = found
+    # the tests of `_active_set`'s first pass, with its arithmetic; a nan fails each
+    w = np.maximum(target, 0.0)
+    w /= np.add.reduce(w, 1)[:, None]
+    gradient = 2.0 * (_matvec(A, w) - b)
+    scale = 1.0 + np.maximum.reduce(np.abs(gradient), 1)
+    low = np.minimum.reduce(gradient, 1, initial=np.inf, where=support)
+    high = np.maximum.reduce(gradient, 1, initial=-np.inf, where=support)
+    lowest_off = np.minimum.reduce(gradient, 1, initial=np.inf, where=~support)
+    solved &= (
+        (np.minimum.reduce(target, 1, initial=np.inf, where=support) >= -_FEASIBLE_TOL)
+        & ~(high - low > _STATIONARY_TOL * scale)
+        & (lowest_off >= low - _KKT_TOL * scale)
+    )
+    solved &= _certified(A, b, w, support, target, low, high, scale, lowest_off)
+    return w, solved
 
 
 def package_fit(

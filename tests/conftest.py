@@ -35,19 +35,24 @@ def report_cpus(monkeypatch):
 
 @pytest.fixture
 def public_lapack(monkeypatch):
-    """Binds the solver to np.linalg's lstsq, eigvalsh and solve, as on numpy 1.x, in place of their gufuncs."""
-    for name, call in zip(("_lstsq", "_eigvalsh", "_lu"), synth._public_linalg()):
+    """Binds the solver to np.linalg's lstsq, eigvalsh and solve, and to one `@` per slice of a stacked
+    product, as on numpy 1.x, in place of the LAPACK gufuncs and np.matvec and np.vecmat."""
+    for name, call in zip(("_lstsq", "_eigvalsh", "_lu", "_matvec", "_vecmat"),
+                          (*synth._public_linalg(), *synth._sliced_products())):
         monkeypatch.setattr(synth, name, call)
 
 
 class LapackInputs:
-    """The arguments of every least-squares call, as (a, b, rcond), of
-    every eigenvalue call and of every LU solve, as (a, b), that the
-    solver makes while recording."""
+    """The arguments of every least-squares system, as (a, b, rcond), of
+    every eigenvalue system and of every LU solve, as (a, b), that the
+    solver passes while recording, with each slice of a stacked call as a
+    system of its own, and the number of systems of each least-squares and
+    eigenvalue call."""
 
     def __init__(self):
         self.lstsq, self.eigvalsh, self.lu = synth._lstsq, synth._eigvalsh, synth._lu  # the bound calls
         self.systems, self.hessians, self.lu_systems = [], [], []
+        self.lstsq_calls, self.eigvalsh_calls = [], []
 
     def assert_public_bits(self):
         """The bound calls give np.linalg's bits on every recorded input, lstsq's at its default rcond.
@@ -73,11 +78,15 @@ def lapack_inputs(monkeypatch):
     inputs = LapackInputs()
 
     def recorded_lstsq(a, b, rcond):
-        inputs.systems.append((a.copy(), b.copy(), rcond))
+        stack = list(zip(a, b)) if a.ndim > 2 else [(a, b)]
+        inputs.systems.extend((ai.copy(), bi.copy(), rcond) for ai, bi in stack)
+        inputs.lstsq_calls.append(len(stack))
         return inputs.lstsq(a, b, rcond)
 
     def recorded_eigvalsh(a):
-        inputs.hessians.append(a.copy())
+        stack = list(a) if a.ndim > 2 else [a]
+        inputs.hessians.extend(ai.copy() for ai in stack)
+        inputs.eigvalsh_calls.append(len(stack))
         return inputs.eigvalsh(a)
 
     def recorded_lu(a, b):

@@ -1,3 +1,4 @@
+import functools
 import json
 import multiprocessing
 import os
@@ -138,18 +139,18 @@ class TestColdFitGolden:
 
     def test_bound_lapack_calls_match_public_calls(self, lapack_inputs, monkeypatch):
         # every LU solve, KKT system and reduced Hessian of one panel's 21 cold
-        # fits. The probe leaves the exact walk about one least-squares system
-        # per fit, so each fit's exact walk also runs from its vertex, which
+        # fits. The probe leaves the stack's confirmation about one least-squares
+        # system per fit, so each QP's exact walk also runs from its vertex, which
         # records the systems of the walk before the probe
-        solve = synth._solve_simplex_qp
+        probe = synth._probe
 
-        def also_walked_from_the_vertex(A, b, start=None):
+        def also_walked_from_the_vertex(A, b, kkt, rhs):
             vertex = np.zeros(b.size)
             vertex[(A.diagonal() - 2.0 * b).argmin()] = 1.0
-            synth._active_set(A, b, vertex, vertex > 0, *synth._bordered(A, b))
-            return solve(A, b, start)
+            synth._active_set(A, b, vertex, vertex > 0, kkt, rhs)
+            return probe(A, b, kkt, rhs)
 
-        monkeypatch.setattr(synth, "_solve_simplex_qp", also_walked_from_the_vertex)
+        monkeypatch.setattr(synth, "_probe", also_walked_from_the_vertex)
         cold_fit_bits(COLD_FIT_GOLDEN[0]["seed"])
         assert len(lapack_inputs.systems) > 100 and len(lapack_inputs.hessians) > 10
         assert len(lapack_inputs.lu_systems) > 100
@@ -157,12 +158,103 @@ class TestColdFitGolden:
 
     def test_one_least_squares_call_per_certified_fit(self, lapack_inputs, monkeypatch):
         # the probe walks each fit to its final support on LU solves, so the
-        # exact walk from there makes one least-squares call and is certified
-        certified, certify = [], synth._certified
-        monkeypatch.setattr(synth, "_certified", lambda *args: certified.append(certify(*args)) or certified[-1])
+        # stack confirms it with one least-squares system and certifies it.
+        # The stack passes the systems of one size in one call: 21 systems, in
+        # one call per (donor count, support size), where the treated fit has
+        # 20 donors and the placebos 19
+        verdicts, certify = [], synth._certified
+
+        def recorded(*args):
+            verdict = certify(*args)
+            verdicts.extend(np.atleast_1d(verdict).tolist())
+            return verdict
+
+        monkeypatch.setattr(synth, "_certified", recorded)
         panel = factor_panel(0)
-        estimate_with_placebos(panel, TREATED, default_cfg(panel))
-        assert len(lapack_inputs.systems) == certified.count(True) == len(certified) == 21
+        cfg = default_cfg(panel)
+        donors = tuple(c for c in panel.countries if c != TREATED)
+        tasks = [(panel, TREATED, donors, cfg), *inference._placebo_tasks(panel, donors, cfg)]
+        fits = [call() for call in inference.FitPool().submit(tasks)]
+        groups = {(fit.weights.w.size, np.count_nonzero(fit.weights.w)) for fit in fits}
+        assert len(lapack_inputs.systems) == verdicts.count(True) == len(verdicts) == 21
+        assert len(lapack_inputs.lstsq_calls) == len(groups) > 2
+
+
+def twin_panel(seed):
+    """A factor panel whose donors C01 and C02 are exact twins, so every fit
+    with both in its pool has many minimizers, which the stack leaves out."""
+    panel = factor_panel(seed, n_donors=8, n_pre=10, n_post=5)
+    values = panel.values.copy()
+    values[2] = values[1]
+    return PanelSeries(panel.outcome_name, panel.countries, panel.periods, values)
+
+
+def estimate_tasks(panel):
+    """The treated and placebo `run_unit_fit` tasks of a plain estimate, in the order read."""
+    cfg = default_cfg(panel)
+    donors = tuple(c for c in panel.countries if c != TREATED)
+    return [(panel, TREATED, donors, cfg), *inference._placebo_tasks(panel, donors, cfg)]
+
+
+def read_in_order(calls):
+    """Each call's fit bits or the message of its DataError, in call order."""
+    outcomes = []
+    for call in calls:
+        try:
+            outcomes.append(fit_bits(call()))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestStackedFits:
+    """`FitPool.submit` fits the plain tasks of one panel and config as one
+    stack; a fit the stack leaves out runs `run_unit_fit` at its own call."""
+
+    @pytest.mark.parametrize("row", ["placebo donor", "treated"])
+    def test_nan_raises_where_a_serial_run_raises(self, row, monkeypatch):
+        panel = small_panel(seed=2)
+        values = panel.values.copy()
+        values[2 if row == "placebo donor" else 0, 3] = np.nan  # in every fit's window
+        panel = PanelSeries(panel.outcome_name, panel.countries, panel.periods, values)
+        tasks = estimate_tasks(panel)
+        serial = read_in_order(functools.partial(run_unit_fit, *task) for task in tasks)
+        left_out = []
+        monkeypatch.setattr(inference, "run_unit_fit", lambda *task: left_out.append(task[1]) or run_unit_fit(*task))
+        assert read_in_order(inference.FitPool().submit(tasks)) == serial
+        assert serial[0] == "non-finite outcome values in fitting window"
+        if row == "treated":
+            # the treated unit is in no placebo's pool: only its own fit fails,
+            # and the placebo fits come from the stack
+            assert left_out == [TREATED]
+            assert all(isinstance(outcome, tuple) for outcome in serial[1:])
+        else:
+            # C02's row is in every placebo's fit, as treated unit or donor
+            assert serial[1:] == serial[:1] * (len(tasks) - 1)
+        with pytest.raises(DataError, match="^non-finite outcome values in fitting window$"):
+            estimate_with_placebos(panel, TREATED, default_cfg(panel))
+        if row == "placebo donor":
+            clean_fit = run_unit_fit(*estimate_tasks(small_panel(seed=2))[0])
+            with pytest.raises(DataError, match="^non-finite outcome values in fitting window$"):
+                placebo_distribution(panel, tasks[0][2], default_cfg(panel), clean_fit)
+
+    def test_public_bindings_leave_the_same_fits_to_the_one_fit_path(self, monkeypatch, request):
+        # numpy 1.x binds np.linalg's calls and one `@` per slice of a
+        # product: the stack must keep and leave out the same fits, with the
+        # same bits, on the cold-fit golden panel and on twins
+        def fits_and_left_out():
+            runs = []
+            for panel in (factor_panel(COLD_FIT_GOLDEN[0]["seed"]), twin_panel(3)):
+                left_out = []
+                monkeypatch.setattr(inference, "run_unit_fit",
+                                    lambda *task: left_out.append(task[1]) or run_unit_fit(*task))
+                runs.append((read_in_order(inference.FitPool().submit(estimate_tasks(panel))), left_out))
+            return runs
+
+        gufuncs = fits_and_left_out()
+        assert [left_out for _, left_out in gufuncs] == [[], ["C01", "C02", "C05", "C08"]]
+        request.getfixturevalue("public_lapack")
+        assert fits_and_left_out() == gufuncs
 
 
 def v_search_case():

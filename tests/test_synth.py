@@ -19,6 +19,7 @@ from synthpanel.synth import (
     WeightVector,
     effect_series,
     fit_objective,
+    fit_stack,
     fit_synth,
     fit_weights,
     mspe,
@@ -726,6 +727,75 @@ def reference_qps(draw):
     held = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
     start[held] = rng.dirichlet(np.ones(held.size))
     return X1.T @ (v[:, None] * X1), X1.T @ (v * x0), start
+
+
+@st.composite
+def panel_problems(draw):
+    """Uniform-V problems on one panel and period split, with 3-25 donors.
+
+    Donor counts are mixed, so the stack splits by donor count, and each
+    count repeats, so its stack holds several QPs. Donor rows may repeat,
+    the fitting window may be all zero, and one donor row or the first
+    problem's treated row may hold a nan in the fitting window.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    units = draw(st.integers(min_value=5, max_value=26))
+    n_pre = draw(st.integers(min_value=2, max_value=12))
+    values = rng.normal(size=(units, n_pre + 3)) * 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j = rng.choice(units, size=2, replace=False)
+        values[i] = values[j]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        values[:, :n_pre] = 0.0
+    countries = tuple(f"C{i:02d}" for i in range(units))
+    pools = []
+    for count in draw(st.lists(st.integers(min_value=3, max_value=min(25, units - 1)), min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            chosen = rng.choice(units, size=count + 1, replace=False)
+            pools.append((countries[chosen[0]], tuple(countries[i] for i in chosen[1:])))
+    nan = draw(st.sampled_from([None, None, "donor", "treated"]))
+    if nan is not None:
+        treated, donors = pools[0]
+        values[countries.index(treated if nan == "treated" else donors[-1]), rng.integers(n_pre)] = np.nan
+    panel = PanelSeries("y", countries, tuple(range(-n_pre, 3)), values)
+    pre = tuple(range(-n_pre, 0))
+    fitting = pre[::draw(st.integers(min_value=1, max_value=2))]
+    return [SynthProblem(treated, donors, fitting, pre, (0, 1, 2), panel) for treated, donors in pools]
+
+
+class TestFitStack:
+    @given(panel_problems())
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    def test_same_bits_as_one_fit_each(self, problems):
+        # every fit the stack returns is fit_synth's, bit for bit, and where
+        # fit_synth raises the stack leaves the problem out without raising
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = fit_stack(problems)
+        assert len(fits) == len(problems)
+        for problem, fit in zip(problems, fits):
+            try:
+                expected = fit_synth(problem)
+            except (DataError, InferenceError):
+                assert fit is None
+                continue
+            if fit is not None:
+                assert fit.weights.w.tobytes() == expected.weights.w.tobytes()
+                assert fit.effects.tobytes() == expected.effects.tobytes()
+                assert fit.rmse_pre.hex() == expected.rmse_pre.hex()
+                assert fit.v_diag.tobytes() == expected.v_diag.tobytes()
+
+    def test_stacks_the_fits_of_a_placebo_distribution(self):
+        # all 21 fits of a factor panel's estimate come from the stack
+        panel = factor_panel(0)
+        pre = tuple(t for t in panel.periods if t < 0)
+        post = tuple(t for t in panel.periods if t >= 0)
+        donors = tuple(c for c in panel.countries if c != TREATED)
+        problems = [SynthProblem(TREATED, donors, pre, pre, post, panel)] + [
+            SynthProblem(d, tuple(c for c in donors if c != d), pre, pre, post, panel) for d in donors]
+        fits = fit_stack(problems)
+        for problem, fit in zip(problems, fits):
+            assert fit.weights.w.tobytes() == fit_synth(problem).weights.w.tobytes()
 
 
 class TestReferenceSolver:
