@@ -170,6 +170,13 @@ class PanelSeries:
         except KeyError:
             raise DataError(f"country {country!r} not in panel") from None
 
+    def country_rows(self, countries: Sequence[str]) -> list[int]:
+        """Row indices of `countries`, in order; DataError for the first not in the panel."""
+        try:
+            return [self._country_index[country] for country in countries]
+        except KeyError as exc:
+            raise DataError(f"country {exc.args[0]!r} not in panel") from None
+
     def period_index(self, t: int) -> int:
         if not self.t_min <= t <= self.t_max:
             raise PanelRangeError(f"period {t} outside panel range {self.t_min}..{self.t_max}")
@@ -182,7 +189,7 @@ class PanelSeries:
         return float(self.values[self.country_index(country), self.period_index(t)])
 
     def select_countries(self, keep: Sequence[str]) -> "PanelSeries":
-        rows = [self.country_index(c) for c in keep]
+        rows = self.country_rows(keep)
         return PanelSeries(
             outcome_name=self.outcome_name,
             countries=tuple(keep),

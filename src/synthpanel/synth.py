@@ -113,12 +113,13 @@ class SynthProblem:
             raise DataError(f"need at least 2 donors, got {len(self.donors)}")
         if not self.pre_periods:
             raise DataError("no fitting periods")
-        if not set(self.pre_periods) <= set(self.all_pre_periods):
+        if self.pre_periods != self.all_pre_periods and not set(self.pre_periods) <= set(self.all_pre_periods):
             raise DataError("fitting periods must be a subset of the full pre window")
-        pre_idx, _, fit_idx = (_period_columns(self.Y.t_min, self.Y.t_max, tuple(periods))
+        t_min, t_max = self.Y.t_min, self.Y.t_max
+        pre_idx, _, fit_idx = (_period_columns(t_min, t_max, tuple(periods))
                                for periods in (self.all_pre_periods, self.post_periods, self.pre_periods))
         treated_row = self.Y.series(self.treated)
-        donor_rows = self.Y.values[[self.Y.country_index(d) for d in self.donors]]
+        donor_rows = self.Y.values[self.Y.country_rows(self.donors)]
         for name, value in (
             ("treated_row", treated_row),
             ("donor_rows", donor_rows),
@@ -360,7 +361,7 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
         & (high - low <= tol)
         & ((sizes == n) | (lowest_off - high > _CERTIFICATE_MARGIN * tol))
     )
-    if support.ndim == 1:
+    if support.ndim == 1:  # one QP, as the V search asks for thousands: no grouping by support size
         if verdict and sizes > 1:
             idx = support.nonzero()[0]
             # F-ordered, as A[idx][:, idx] lays it out: BLAS may round Z'AZ differently on another layout

@@ -170,11 +170,7 @@ class TestColdFitGolden:
             return verdict
 
         monkeypatch.setattr(synth, "_certified", recorded)
-        panel = factor_panel(0)
-        cfg = default_cfg(panel)
-        donors = tuple(c for c in panel.countries if c != TREATED)
-        tasks = [(panel, TREATED, donors, cfg), *inference._placebo_tasks(panel, donors, cfg)]
-        fits = [call() for call in inference.FitPool().submit(tasks)]
+        fits = [call() for call in inference.FitPool().submit(estimate_tasks(factor_panel(0)))]
         groups = {(fit.weights.w.size, np.count_nonzero(fit.weights.w)) for fit in fits}
         assert len(lapack_inputs.systems) == verdicts.count(True) == len(verdicts) == 21
         assert len(lapack_inputs.lstsq_calls) == len(groups) > 2
@@ -197,11 +193,12 @@ def estimate_tasks(panel):
 
 
 def read_in_order(calls):
-    """Each call's fit bits or the message of its DataError, in call order."""
+    """Each call's fit bits and pre-period RMSE, or the message of its DataError, in call order."""
     outcomes = []
     for call in calls:
         try:
-            outcomes.append(fit_bits(call()))
+            fit = call()
+            outcomes.append((*fit_bits(fit), fit.rmse_pre.hex()))
         except DataError as exc:
             outcomes.append(str(exc))
     return outcomes

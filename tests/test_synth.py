@@ -785,18 +785,6 @@ class TestFitStack:
                 assert fit.rmse_pre.hex() == expected.rmse_pre.hex()
                 assert fit.v_diag.tobytes() == expected.v_diag.tobytes()
 
-    def test_stacks_the_fits_of_a_placebo_distribution(self):
-        # all 21 fits of a factor panel's estimate come from the stack
-        panel = factor_panel(0)
-        pre = tuple(t for t in panel.periods if t < 0)
-        post = tuple(t for t in panel.periods if t >= 0)
-        donors = tuple(c for c in panel.countries if c != TREATED)
-        problems = [SynthProblem(TREATED, donors, pre, pre, post, panel)] + [
-            SynthProblem(d, tuple(c for c in donors if c != d), pre, pre, post, panel) for d in donors]
-        fits = fit_stack(problems)
-        for problem, fit in zip(problems, fits):
-            assert fit.weights.w.tobytes() == fit_synth(problem).weights.w.tobytes()
-
 
 class TestReferenceSolver:
     @given(reference_qps())
