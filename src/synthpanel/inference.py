@@ -12,9 +12,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, InferenceError, PanelRangeError
+from .errors import ConfigurationError, DataError, InferenceError, PanelRangeError, SynthPanelError
 from .panel import PanelSeries, SampleRestriction, restrict_sample
-from .synth import SynthFit, SynthProblem, fit_stack, fit_synth, optimize_v, package_fit
+from .synth import SynthFit, SynthProblem, _refuse_non_finite, fit_stack, optimize_v, package_fit
 
 MIN_PLACEBO_DONORS = 5
 SIGMA_FLOOR_RATIO = 1e-12
@@ -80,14 +80,13 @@ def run_unit_fit(
 ) -> SynthFit:
     """Fit one unit against its donor pool under the shared config.
 
-    When the fit uses a subsample of the pre window, V is searched for.
+    V is searched for when the fit uses a subsample of the pre window; on
+    the full window `optimize_v` returns the uniform V and its fit at once.
     """
     problem = _unit_problem(panel, unit, pool, cfg)
-    if cfg.fit_pre_periods != cfg.all_pre_periods:
-        # the search already fitted the weights for the V it returns
-        v_diag, weights = optimize_v(problem)
-        return package_fit(problem, weights, v_diag)
-    return fit_synth(problem)
+    # the search already fitted the weights for the V it returns
+    v_diag, weights = optimize_v(problem)
+    return package_fit(problem, weights, v_diag)
 
 
 FitTask = tuple[PanelSeries, str, tuple[str, ...], EstimatorConfig]  # `run_unit_fit`'s arguments
@@ -95,8 +94,8 @@ FitTask = tuple[PanelSeries, str, tuple[str, ...], EstimatorConfig]  # `run_unit
 
 class FitPool:
     """Runs `run_unit_fit` tasks; `submit` returns a call per task, which
-    returns the fit or raises the fit's error. Make each call once: a fit
-    that runs in this process outside a stack runs again at every call.
+    returns the fit or raises the fit's error. Make each call once: a V
+    search that runs in this process runs again at every call.
 
     Fits that run a V search are independent, Python-bound and slow, so
     with 2 or more CPUs in the affinity mask they run in forked worker
@@ -113,8 +112,7 @@ class FitPool:
 
     The plain fits of one batch on one panel and config share a stack
     (`_PlainStack`): the first of their calls fits them all with
-    `fit_stack`, and each call returns its stacked fit or, for a fit the
-    stack left out, runs `run_unit_fit`, which raises the fit's error.
+    `fit_stack`, and each call returns its fit or raises its held error.
 
     Leaving a `with` block joins the workers. On an error it first
     cancels the fits no worker has taken and stops the workers, since
@@ -192,29 +190,31 @@ class FitPool:
 
 
 class _PlainStack:
-    """Plain fits on one panel and config, which `fit_stack` fits together
-    at the first call that reads one of them."""
+    """Plain fits on one panel and config, which `fit_stack` fits together at the
+    first call that reads one of them. That call first raises its own fit's cheap
+    refusals, as a serial run does before it fits any other: an error building its
+    problem (held from `add`) or a non-finite fitting window."""
 
     def __init__(self):
-        self._tasks: list[FitTask] = []
-        self._fits: list[SynthFit | None] | None = None
+        self._fits: list[SynthProblem | SynthFit | SynthPanelError] = []  # a problem until fitted
 
     def add(self, task: FitTask) -> Callable[[], SynthFit]:
-        self._tasks.append(task)
-        return functools.partial(self._read, len(self._tasks) - 1)
+        try:
+            self._fits.append(_unit_problem(*task))
+        except DataError as exc:
+            self._fits.append(exc)
+        return functools.partial(self._read, len(self._fits) - 1)
 
     def _read(self, i: int) -> SynthFit:
-        if self._fits is None:
-            problems = []
-            for task in self._tasks:
-                try:
-                    problems.append(_unit_problem(*task))
-                except DataError:  # raised again by run_unit_fit, at this fit's own call
-                    problems.append(None)
-            fits = iter(fit_stack([problem for problem in problems if problem is not None]))
-            self._fits = [None if problem is None else next(fits) for problem in problems]
         fit = self._fits[i]
-        return run_unit_fit(*self._tasks[i]) if fit is None else fit
+        if isinstance(fit, SynthProblem):
+            _refuse_non_finite(fit.X1, fit.x0)
+            fits = iter(fit_stack([entry for entry in self._fits if isinstance(entry, SynthProblem)]))
+            self._fits = [next(fits) if isinstance(entry, SynthProblem) else entry for entry in self._fits]
+            fit = self._fits[i]
+        if isinstance(fit, SynthPanelError):
+            raise fit
+        return fit
 
 
 def _placebo_tasks(panel: PanelSeries, donors: tuple[str, ...], cfg: EstimatorConfig) -> list[FitTask]:
@@ -342,7 +342,9 @@ def submit_estimates(
     batches = []
     for panel, cfg in prepared:
         donors = tuple(c for c in panel.countries if c != treated)
-        batches.append((donors, [(panel, treated, donors, cfg), *_placebo_tasks(panel, donors, cfg)]))
+        # placebo_distribution refuses fewer donors before it reads a placebo fit: submit none
+        placebos = _placebo_tasks(panel, donors, cfg) if len(donors) >= MIN_PLACEBO_DONORS else []
+        batches.append((donors, [(panel, treated, donors, cfg), *placebos]))
     calls = iter(pool.submit([task for _, tasks in batches for task in tasks]))
     return [
         functools.partial(_read_estimate, panel, donors, cfg, [next(calls) for _ in tasks])

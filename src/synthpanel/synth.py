@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, InferenceError, PanelRangeError
+from .errors import DataError, InferenceError, PanelRangeError, SynthPanelError
 from .panel import PanelSeries
 
 _SIMPLEX_TOL = 1e-9
@@ -181,7 +181,7 @@ def _equality_solve(kkt: np.ndarray, rhs: np.ndarray, sub: np.ndarray,
     None when the solve is not finite. Given `slices` of stacks `kkt` and `rhs`
     and one row of `sub` per slice, all of one size, it solves those systems
     in one call, which gives each the bits of its own: a system whose solve is
-    not finite gets nan weights, and None means that none has an answer.
+    not finite gets nan weights.
     """
     k = sub.shape[-1] - 1
     if slices is None:
@@ -193,13 +193,9 @@ def _equality_solve(kkt: np.ndarray, rhs: np.ndarray, sub: np.ndarray,
         return target
     rows = slices[:, None]
     sol = _lstsq(kkt[rows[:, :, None], sub[:, :, None], sub[:, None, :]], rhs[rows, sub], _EPS * (k + 1))[0]
-    finite = np.logical_and.reduce(np.isfinite(sol), (1, 2))
     target = np.zeros((slices.size, kkt.shape[-1] - 1))
     target[np.arange(slices.size)[:, None], sub[:, :-1]] = sol[:, :k, 0]
-    if not np.logical_and.reduce(finite):
-        if not np.logical_or.reduce(finite):
-            return None
-        target[~finite] = np.nan
+    target[~np.logical_and.reduce(np.isfinite(sol), (1, 2))] = np.nan
     return target
 
 
@@ -339,7 +335,8 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
     unique, `target` found it, and it clears the solver's tolerances widely:
     - every support weight of the equality solve is positive, and they
       sum to one;
-    - the support gradients agree, so `w` is stationary on the support;
+    - the support gradients agree, by the solver's own test too, so `w` is
+      stationary on the support;
     - every off-support gradient lies strictly above every support
       gradient, so every minimizer is zero off the support;
     - the reduced Hessian on the support is positive definite over the
@@ -359,6 +356,7 @@ def _certified(A: np.ndarray, b: np.ndarray, w: np.ndarray, support: np.ndarray,
         (np.minimum.reduce(target, -1, initial=np.inf, where=support) > margin)
         & (abs(np.add.reduce(target, -1) - 1.0) <= margin)
         & (high - low <= tol)
+        & (high - low <= _STATIONARY_TOL * scale)
         & ((sizes == n) | (lowest_off - high > _CERTIFICATE_MARGIN * tol))
     )
     if support.ndim == 1:  # one QP, as the V search asks for thousands: no grouping by support size
@@ -384,32 +382,31 @@ def _curved(hessians: np.ndarray) -> np.ndarray:
     return eigenvalues[..., 0] > _MIN_CURVATURE * np.fmax(1.0, eigenvalues[..., -1])
 
 
-def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def _refuse_non_finite(A: np.ndarray, b: np.ndarray) -> None:
+    """Raises a fit's DataError where its QP (A, b), or the design (X1, x0) behind it, is not finite."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise DataError("non-finite outcome values in fitting window")
+
+
+def _solve_simplex_qp(A: np.ndarray, b: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Minimize w'Aw - 2b'w over the simplex by a primal active-set method.
 
     The cold solve defines the bits. It starts at uniform weights on every
     donor; if it finds no optimum, it reruns once at a power-of-two scale,
     then raises InferenceError. Every solve first runs the method warm, from
-    simplex weights `start` (in a V search, the last answer of the same
-    move) with working support start > 0, or else from the point `_probe`
-    walks to from the vertex of least objective. That answer is kept only
-    when its final support is certified (`_certified`): the cold solve then
-    ends on the same support, and so returns the same bits. Otherwise (cycle
-    cap, a non-finite solve, or no certificate) the cold solve runs. The
-    probe, the warm attempt and the cold solve share one bordered KKT array.
-    `_solve_stack` runs the probe and the warm attempt's first pass on a
-    stack of plain fits and returns what this returns wherever that pass
-    ends certified; the plain fits it leaves out, and every V-search
-    candidate, are solved here.
+    simplex weights `start` with working support start > 0: in a V search,
+    the last answer of the same move; for a QP without a start, which only
+    `_solve_stack` takes, the point its probe walked to. That answer is kept
+    only when its final support is certified (`_certified`): the cold solve
+    then ends on the same support, and so returns the same bits. Otherwise
+    (cycle cap, a non-finite solve, or no certificate) the cold solve runs.
+    The warm attempt and the cold solve share one bordered KKT array.
     """
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise DataError("non-finite outcome values in fitting window")
+    _refuse_non_finite(A, b)
     n = b.size
     kkt, rhs = _bordered(A, b)
     # a failed LAPACK call returns nan, which the isfinite tests and the eigenvalue comparison refuse
     with np.errstate(invalid="ignore"):
-        if start is None:
-            start = _probe(A, b, kkt, rhs)
         warm = _active_set(A, b, start, start > 0, kkt, rhs)
         if warm is not None and _certified(A, b, *warm):
             return warm[0]
@@ -437,10 +434,16 @@ def _v_diag(problem: SynthProblem, v_diag: np.ndarray | None) -> np.ndarray:
 
 
 def _weights(problem: SynthProblem, v: np.ndarray, start: np.ndarray | None = None) -> WeightVector:
+    """The weights under V = diag(`v`): warm from `start`, or without one as a stack of one."""
     X1 = problem.X1
     A = X1.T @ (v[:, None] * X1)
     b = X1.T @ (v * problem.x0)
-    return WeightVector(w=_solve_simplex_qp(A, b, start))
+    if start is not None:
+        return WeightVector(w=_solve_simplex_qp(A, b, start))
+    weights, errors = _solve_stack(A[None], b[None])
+    if errors:
+        raise errors[0]
+    return WeightVector(w=weights[0])
 
 
 def fit_weights(problem: SynthProblem, v_diag: np.ndarray | None = None) -> WeightVector:
@@ -499,7 +502,7 @@ def optimize_v(problem: SynthProblem) -> tuple[np.ndarray, WeightVector]:
             scored[key] = (w, _pre_mspe(problem, problem.treated_row - w.w @ problem.donor_rows))
         return scored[key]
 
-    w, best = fit_and_score(v, None)
+    w, best = fit_and_score(v, None)  # no start: a stack of one
     if set(problem.pre_periods) == set(problem.all_pre_periods):
         # degenerate case: the search objective equals the fit objective,
         # so the uniform diagonal is already optimal
@@ -534,89 +537,82 @@ def fit_synth(problem: SynthProblem, v_diag: np.ndarray | None = None) -> SynthF
     return package_fit(problem, fit_weights(problem, v_diag), v_diag)
 
 
-def fit_stack(problems: Sequence[SynthProblem]) -> list[SynthFit | None]:
+def fit_stack(problems: Sequence[SynthProblem]) -> list[SynthFit | SynthPanelError]:
     """`fit_synth` with the uniform V on many problems of one panel, fitted together.
 
-    Returns each problem's fit, with the bits `fit_synth` gives it, or None
-    where the stack leaves the problem to `fit_synth`: non-finite values in
-    its fitting window, or a probe point that the warm attempt's first
-    equality solve does not take to a certified answer. It never raises.
+    Returns each problem's fit, with the bits `fit_synth` gives it, or the
+    error `fit_synth` raises on it, held for the caller to raise.
     Problems with the same donor count, panel length and fitting and pre
     windows form one stack: one product each gives every A and b and one
     `np.vecmat` every effect series, and `_solve_stack` solves the QPs.
     Each slice of a stacked product or LAPACK call gets the bits of its own.
     """
-    fits: list[SynthFit | None] = [None] * len(problems)
+    fits: list[SynthFit | SynthPanelError] = [None] * len(problems)
     stacks: dict[tuple, list[int]] = {}
     for i, problem in enumerate(problems):
         key = (problem.donor_rows.shape, problem.x0.size, problem.pre_idx.tobytes())
         stacks.setdefault(key, []).append(i)
-    # a left-out QP or a failed LAPACK call gives nan (or inf), which the stack refuses
-    # without a warning: it never raises, and a left-out fit warns at its own call
-    with np.errstate(all="ignore"):
-        for members in stacks.values():
-            stack = [problems[i] for i in members]
-            p = stack[0].x0.size
-            v = np.full(p, 1.0 / p)
-            X1T = np.stack([problem.X1.T for problem in stack])  # so each slice of X1T.mT is laid out as X1
-            A = X1T @ (v[:, None] * X1T.transpose(0, 2, 1))
-            b = _matvec(X1T, v * np.stack([problem.x0 for problem in stack]))
-            weights, solved = _solve_stack(A, b)
-            rows = solved.nonzero()[0]
-            if not rows.size:
-                continue
-            effects = np.stack([stack[i].treated_row for i in rows]) - _vecmat(
-                weights[rows], np.stack([stack[i].donor_rows for i in rows]))
-            # C-ordered, as effects[:, pre_idx] is not: numpy sums a strided row in another order than _pre_mspe's
-            pre = effects.take(stack[0].pre_idx, 1)
-            rmse = np.sqrt(np.add.reduce(pre * pre, 1) / pre.shape[1]).tolist()
-            v_diags = np.full((rows.size, p), 1.0 / p)
-            for j, i in enumerate(rows.tolist()):
-                fits[members[i]] = SynthFit(WeightVector(weights[i]), v_diags[j], effects[j], rmse[j])
+    for members in stacks.values():
+        stack = [problems[i] for i in members]
+        p = stack[0].x0.size
+        v = np.full(p, 1.0 / p)
+        X1T = np.stack([problem.X1.T for problem in stack])  # so each slice of X1T.mT is laid out as X1
+        A = X1T @ (v[:, None] * X1T.transpose(0, 2, 1))
+        b = _matvec(X1T, v * np.stack([problem.x0 for problem in stack]))
+        weights, errors = _solve_stack(A, b)
+        effects = np.stack([problem.treated_row for problem in stack]) - _vecmat(
+            weights, np.stack([problem.donor_rows for problem in stack]))
+        # C-ordered, as effects[:, pre_idx] is not: numpy sums a strided row in another order than _pre_mspe's
+        pre = effects.take(stack[0].pre_idx, 1)
+        rmse = np.sqrt(np.add.reduce(pre * pre, 1) / pre.shape[1]).tolist()
+        v_diags = np.full((len(stack), p), 1.0 / p)
+        for j, i in enumerate(members):
+            fits[i] = errors.get(j) or SynthFit(WeightVector(weights[j]), v_diags[j], effects[j], rmse[j])
     return fits
 
 
-def _solve_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_solve_simplex_qp`'s answers to a stack of QPs where its warm attempt ends at its first equality solve.
+def _solve_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, SynthPanelError]]:
+    """The only entry for QPs without a start: each one's weights (a row), and the errors raised, by row.
 
-    Each QP's probe point (`_probe`, per QP, on one stacked bordered array)
-    is confirmed as the warm attempt's first pass confirms it: one stacked
-    equality solve per support size, then the feasibility, stationarity and
-    KKT tests of `_active_set` and one `_certified` over the whole stack.
-    Returns the weights and a mask of the QPs they answer; the others
-    (non-finite data, a failed solve, a warm attempt that needs more solves
-    or is refused) are left to `_solve_simplex_qp`.
+    Each QP's probe point (`_probe`, once per QP, on one stacked bordered
+    array) is confirmed as the warm attempt's first pass confirms it: one
+    stacked equality solve per support size and one `_certified` over the
+    stack, which implies that pass's feasibility, stationarity and KKT tests.
+    `_solve_simplex_qp` finishes every QP left (non-finite data, a failed
+    solve, a warm attempt that needs more solves or is refused) from its probe
+    point, and its error is held for the caller to raise.
     """
     m, n = b.shape
-    solved = np.isfinite(A).all((1, 2)) & np.isfinite(b).all(1)
-    kkt, rhs = _bordered(A, b)
-    start = np.zeros((m, n))
-    for i in solved.nonzero()[0].tolist():
-        start[i] = _probe(A[i], b[i], kkt[i], rhs[i])
-    held = np.concatenate((start > 0, np.ones((m, 1), dtype=bool)), 1)  # the support, then the border
-    support = held[:, :n]
-    sizes = np.add.reduce(support, 1)
-    target = np.full((m, n), np.nan)
-    for k in set(sizes[solved].tolist()) - {0}:
-        rows = (solved & (sizes == k)).nonzero()[0]
-        found = _equality_solve(kkt, rhs, held[rows].nonzero()[1].reshape(-1, k + 1), rows)
-        if found is not None:
-            target[rows] = found
-    # the tests of `_active_set`'s first pass, with its arithmetic; a nan fails each
-    w = np.maximum(target, 0.0)
-    w /= np.add.reduce(w, 1)[:, None]
-    gradient = 2.0 * (_matvec(A, w) - b)
-    scale = 1.0 + np.maximum.reduce(np.abs(gradient), 1)
-    low = np.minimum.reduce(gradient, 1, initial=np.inf, where=support)
-    high = np.maximum.reduce(gradient, 1, initial=-np.inf, where=support)
-    lowest_off = np.minimum.reduce(gradient, 1, initial=np.inf, where=~support)
-    solved &= (
-        (np.minimum.reduce(target, 1, initial=np.inf, where=support) >= -_FEASIBLE_TOL)
-        & ~(high - low > _STATIONARY_TOL * scale)
-        & (lowest_off >= low - _KKT_TOL * scale)
-    )
-    solved &= _certified(A, b, w, support, target, low, high, scale, lowest_off)
-    return w, solved
+    # a failed LAPACK call gives nan (or inf), which the tests refuse without a warning
+    with np.errstate(all="ignore"):
+        kkt, rhs = _bordered(A, b)
+        solved = np.isfinite(A).all((1, 2)) & np.isfinite(b).all(1)
+        start = np.zeros((m, n))  # a non-finite QP's, which _solve_simplex_qp refuses before reading it
+        for i in solved.nonzero()[0].tolist():
+            start[i] = _probe(A[i], b[i], kkt[i], rhs[i])
+        held = np.concatenate((start > 0, np.ones((m, 1), dtype=bool)), 1)  # the support, then the border
+        support = held[:, :n]
+        sizes = np.add.reduce(support, 1)
+        target = np.full((m, n), np.nan)
+        for k in set(sizes[solved].tolist()) - {0}:
+            rows = (solved & (sizes == k)).nonzero()[0]
+            target[rows] = _equality_solve(kkt, rhs, held[rows].nonzero()[1].reshape(-1, k + 1), rows)
+        # the weights and gradient values of `_active_set`'s first pass, with its arithmetic
+        w = np.maximum(target, 0.0)
+        w /= np.add.reduce(w, 1)[:, None]
+        gradient = 2.0 * (_matvec(A, w) - b)
+        scale = 1.0 + np.maximum.reduce(np.abs(gradient), 1)
+        low = np.minimum.reduce(gradient, 1, initial=np.inf, where=support)
+        high = np.maximum.reduce(gradient, 1, initial=-np.inf, where=support)
+        lowest_off = np.minimum.reduce(gradient, 1, initial=np.inf, where=~support)
+        solved &= _certified(A, b, w, support, target, low, high, scale, lowest_off)
+        errors = {}
+        for i in (~solved).nonzero()[0].tolist():
+            try:
+                w[i] = _solve_simplex_qp(A[i], b[i], start[i])
+            except SynthPanelError as exc:
+                errors[i] = exc
+    return w, errors
 
 
 def package_fit(

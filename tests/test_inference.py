@@ -59,6 +59,20 @@ class TestPlaceboDistribution:
         with pytest.raises(InferenceError, match="at least 5"):
             estimate_with_placebos(panel, TREATED, default_cfg(panel))
 
+    def test_small_donor_pool_runs_only_the_treated_fit(self, monkeypatch):
+        # placebo_distribution refuses the pool before it reads a placebo fit,
+        # so no placebo fit is submitted or run
+        panel = small_panel(n_donors=4)
+        submitted, submit = [], inference.FitPool.submit
+        monkeypatch.setattr(inference.FitPool, "submit",
+                            lambda pool, tasks: submitted.extend(tasks) or submit(pool, tasks))
+        probes = record_probes(monkeypatch)
+        with pytest.raises(InferenceError, match="^placebo inference needs at least 5 donors, got 4; "
+                                                 "point estimates remain available without bands$"):
+            estimate_with_placebos(panel, TREATED, default_cfg(panel))
+        assert [task[1] for task in submitted] == [TREATED]
+        assert len(probes) == 1
+
     def test_perfect_fit_donor_excluded(self):
         panel = small_panel(seed=3)
         values = panel.values.copy()
@@ -178,7 +192,7 @@ class TestColdFitGolden:
 
 def twin_panel(seed):
     """A factor panel whose donors C01 and C02 are exact twins, so every fit
-    with both in its pool has many minimizers, which the stack leaves out."""
+    with both in its pool has many minimizers, which the stack's first pass leaves out."""
     panel = factor_panel(seed, n_donors=8, n_pre=10, n_post=5)
     values = panel.values.copy()
     values[2] = values[1]
@@ -204,9 +218,48 @@ def read_in_order(calls):
     return outcomes
 
 
+def record_left_out(monkeypatch):
+    """A list that gathers, in call order, the unit of each fit that a stack
+    leaves to `synth._solve_simplex_qp`: each QP it gets is matched to the
+    first problem of the running `fit_stack` call with that A and b, not
+    matched before, or else gives None."""
+    units, running = [], []
+    fit_stack, solve = inference.fit_stack, synth._solve_simplex_qp
+
+    def recorded_stack(problems):
+        running[:] = problems
+        try:
+            return fit_stack(problems)
+        finally:
+            running.clear()
+
+    def recorded_solve(A, b, start):
+        for problem in running:
+            v, X1 = np.full(problem.x0.size, 1.0 / problem.x0.size), problem.X1
+            if (np.array_equal(X1.T @ (v[:, None] * X1), A, equal_nan=True)
+                    and np.array_equal(X1.T @ (v * problem.x0), b, equal_nan=True)):
+                units.append(problem.treated)
+                running.remove(problem)
+                break
+        else:
+            units.append(None)  # a QP of no problem of a running stack
+        return solve(A, b, start)
+
+    monkeypatch.setattr(inference, "fit_stack", recorded_stack)
+    monkeypatch.setattr(synth, "_solve_simplex_qp", recorded_solve)
+    return units
+
+
+def record_probes(monkeypatch):
+    """A list that gathers one entry per `synth._probe` call."""
+    probes, probe = [], synth._probe
+    monkeypatch.setattr(synth, "_probe", lambda *args: probes.append(None) or probe(*args))
+    return probes
+
+
 class TestStackedFits:
     """`FitPool.submit` fits the plain tasks of one panel and config as one
-    stack; a fit the stack leaves out runs `run_unit_fit` at its own call."""
+    stack, which finishes the fits its first pass leaves out itself."""
 
     @pytest.mark.parametrize("row", ["placebo donor", "treated"])
     def test_nan_raises_where_a_serial_run_raises(self, row, monkeypatch):
@@ -216,13 +269,15 @@ class TestStackedFits:
         panel = PanelSeries(panel.outcome_name, panel.countries, panel.periods, values)
         tasks = estimate_tasks(panel)
         serial = read_in_order(functools.partial(run_unit_fit, *task) for task in tasks)
-        left_out = []
-        monkeypatch.setattr(inference, "run_unit_fit", lambda *task: left_out.append(task[1]) or run_unit_fit(*task))
-        assert read_in_order(inference.FitPool().submit(tasks)) == serial
-        assert serial[0] == "non-finite outcome values in fitting window"
+        left_out, probes = record_left_out(monkeypatch), record_probes(monkeypatch)
+        calls = inference.FitPool().submit(tasks)
+        assert read_in_order(calls[:1]) == serial[:1] == ["non-finite outcome values in fitting window"]
+        # the treated fit's own refusal comes before the stack fits any other
+        assert probes == []
+        assert read_in_order(calls[1:]) == serial[1:]
         if row == "treated":
             # the treated unit is in no placebo's pool: only its own fit fails,
-            # and the placebo fits come from the stack
+            # and the placebo fits come from the stack's first pass
             assert left_out == [TREATED]
             assert all(isinstance(outcome, tuple) for outcome in serial[1:])
         else:
@@ -239,19 +294,27 @@ class TestStackedFits:
         # numpy 1.x binds np.linalg's calls and one `@` per slice of a
         # product: the stack must keep and leave out the same fits, with the
         # same bits, on the cold-fit golden panel and on twins
+        left_out = record_left_out(monkeypatch)
+
         def fits_and_left_out():
             runs = []
             for panel in (factor_panel(COLD_FIT_GOLDEN[0]["seed"]), twin_panel(3)):
-                left_out = []
-                monkeypatch.setattr(inference, "run_unit_fit",
-                                    lambda *task: left_out.append(task[1]) or run_unit_fit(*task))
-                runs.append((read_in_order(inference.FitPool().submit(estimate_tasks(panel))), left_out))
+                left_out.clear()
+                runs.append((read_in_order(inference.FitPool().submit(estimate_tasks(panel))), list(left_out)))
             return runs
 
         gufuncs = fits_and_left_out()
-        assert [left_out for _, left_out in gufuncs] == [[], ["C01", "C02", "C05", "C08"]]
+        assert [units for _, units in gufuncs] == [[], ["C01", "C02", "C05", "C08"]]
         request.getfixturevalue("public_lapack")
         assert fits_and_left_out() == gufuncs
+
+    def test_one_probe_per_fit(self, monkeypatch):
+        # the stack finishes the 4 fits its first pass leaves out from their probe points
+        tasks = estimate_tasks(twin_panel(3))
+        serial = read_in_order(functools.partial(run_unit_fit, *task) for task in tasks)
+        probes = record_probes(monkeypatch)
+        assert read_in_order(inference.FitPool().submit(tasks)) == serial
+        assert len(probes) == len(tasks) == 9
 
 
 def v_search_case():
