@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, InferenceError, PanelRangeError, SynthPanelError
 from .panel import PanelSeries, SampleRestriction, restrict_sample
-from .synth import SynthFit, SynthProblem, _refuse_non_finite, fit_stack, optimize_v, package_fit
+from .synth import SynthFit, SynthProblem, _refuse_non_finite, fit_stack, fit_synth, optimize_v, package_fit
 
 MIN_PLACEBO_DONORS = 5
 SIGMA_FLOOR_RATIO = 1e-12
@@ -80,13 +80,14 @@ def run_unit_fit(
 ) -> SynthFit:
     """Fit one unit against its donor pool under the shared config.
 
-    V is searched for when the fit uses a subsample of the pre window; on
-    the full window `optimize_v` returns the uniform V and its fit at once.
+    When the fit uses a subsample of the pre window, V is searched for.
     """
     problem = _unit_problem(panel, unit, pool, cfg)
-    # the search already fitted the weights for the V it returns
-    v_diag, weights = optimize_v(problem)
-    return package_fit(problem, weights, v_diag)
+    if cfg.fit_pre_periods != cfg.all_pre_periods:
+        # the search already fitted the weights for the V it returns
+        v_diag, weights = optimize_v(problem)
+        return package_fit(problem, weights, v_diag)
+    return fit_synth(problem)
 
 
 FitTask = tuple[PanelSeries, str, tuple[str, ...], EstimatorConfig]  # `run_unit_fit`'s arguments
@@ -193,7 +194,7 @@ class _PlainStack:
     """Plain fits on one panel and config, which `fit_stack` fits together at the
     first call that reads one of them. That call first raises its own fit's cheap
     refusals, as a serial run does before it fits any other: an error building its
-    problem (held from `add`) or a non-finite fitting window."""
+    problem (held from `add`) or a non-finite fitting window (held from then on)."""
 
     def __init__(self):
         self._fits: list[SynthProblem | SynthFit | SynthPanelError] = []  # a problem until fitted
@@ -208,7 +209,11 @@ class _PlainStack:
     def _read(self, i: int) -> SynthFit:
         fit = self._fits[i]
         if isinstance(fit, SynthProblem):
-            _refuse_non_finite(fit.X1, fit.x0)
+            try:
+                _refuse_non_finite(fit.X1, fit.x0)
+            except DataError as exc:
+                self._fits[i] = exc  # held, so that a later read does not stack it again
+                raise
             fits = iter(fit_stack([entry for entry in self._fits if isinstance(entry, SynthProblem)]))
             self._fits = [next(fits) if isinstance(entry, SynthProblem) else entry for entry in self._fits]
             fit = self._fits[i]

@@ -438,12 +438,7 @@ def _weights(problem: SynthProblem, v: np.ndarray, start: np.ndarray | None = No
     X1 = problem.X1
     A = X1.T @ (v[:, None] * X1)
     b = X1.T @ (v * problem.x0)
-    if start is not None:
-        return WeightVector(w=_solve_simplex_qp(A, b, start))
-    weights, errors = _solve_stack(A[None], b[None])
-    if errors:
-        raise errors[0]
-    return WeightVector(w=weights[0])
+    return WeightVector(w=_solve_simplex_qp(A, b, start) if start is not None else _solve_alone(A, b))
 
 
 def fit_weights(problem: SynthProblem, v_diag: np.ndarray | None = None) -> WeightVector:
@@ -583,13 +578,14 @@ def _solve_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, Sy
     point, and its error is held for the caller to raise.
     """
     m, n = b.shape
-    # a failed LAPACK call gives nan (or inf), which the tests refuse without a warning
-    with np.errstate(all="ignore"):
-        kkt, rhs = _bordered(A, b)
-        solved = np.isfinite(A).all((1, 2)) & np.isfinite(b).all(1)
-        start = np.zeros((m, n))  # a non-finite QP's, which _solve_simplex_qp refuses before reading it
+    kkt, rhs = _bordered(A, b)
+    solved = np.isfinite(A).all((1, 2)) & np.isfinite(b).all(1)
+    start = np.zeros((m, n))  # a non-finite QP's, which _solve_simplex_qp refuses before reading it
+    with np.errstate(invalid="ignore"):  # as in _solve_simplex_qp, where each QP's probe ran alone
         for i in solved.nonzero()[0].tolist():
             start[i] = _probe(A[i], b[i], kkt[i], rhs[i])
+    # a failed LAPACK call gives nan (or inf), which the stacked tests refuse without a warning
+    with np.errstate(all="ignore"):
         held = np.concatenate((start > 0, np.ones((m, 1), dtype=bool)), 1)  # the support, then the border
         support = held[:, :n]
         sizes = np.add.reduce(support, 1)
@@ -606,13 +602,21 @@ def _solve_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, Sy
         high = np.maximum.reduce(gradient, 1, initial=-np.inf, where=support)
         lowest_off = np.minimum.reduce(gradient, 1, initial=np.inf, where=~support)
         solved &= _certified(A, b, w, support, target, low, high, scale, lowest_off)
-        errors = {}
-        for i in (~solved).nonzero()[0].tolist():
-            try:
-                w[i] = _solve_simplex_qp(A[i], b[i], start[i])
-            except SynthPanelError as exc:
-                errors[i] = exc
+    errors = {}
+    for i in (~solved).nonzero()[0].tolist():
+        try:
+            w[i] = _solve_simplex_qp(A[i], b[i], start[i])
+        except SynthPanelError as exc:
+            errors[i] = exc
     return w, errors
+
+
+def _solve_alone(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One QP without a start, solved as a stack of one; raises its error."""
+    weights, errors = _solve_stack(A[None], b[None])
+    if errors:
+        raise errors[0]
+    return weights[0]
 
 
 def package_fit(

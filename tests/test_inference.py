@@ -277,8 +277,9 @@ class TestStackedFits:
         assert read_in_order(calls[1:]) == serial[1:]
         if row == "treated":
             # the treated unit is in no placebo's pool: only its own fit fails,
-            # and the placebo fits come from the stack's first pass
-            assert left_out == [TREATED]
+            # its refusal is held, so the stack of the placebo fits leaves it
+            # out, and they come from the stack's first pass
+            assert left_out == []
             assert all(isinstance(outcome, tuple) for outcome in serial[1:])
         else:
             # C02's row is in every placebo's fit, as treated unit or donor
@@ -315,6 +316,20 @@ class TestStackedFits:
         probes = record_probes(monkeypatch)
         assert read_in_order(inference.FitPool().submit(tasks)) == serial
         assert len(probes) == len(tasks) == 9
+
+    def test_a_plain_fit_off_the_stack_is_a_fit_weights_call(self, monkeypatch):
+        # the traced montecarlo run counts fit_weights calls to see plain fits
+        # that miss the stack: run_unit_fit must make one, and no V search
+        calls, fit_weights = [], synth.fit_weights
+        monkeypatch.setattr(synth, "fit_weights", lambda *args: calls.append(None) or fit_weights(*args))
+        monkeypatch.setattr(inference, "optimize_v", None)
+        task = estimate_tasks(small_panel(seed=2))[0]
+        fit = run_unit_fit(*task)
+        assert len(calls) == 1
+        stacked = inference.FitPool().submit([task])[0]()
+        assert len(calls) == 1
+        assert fit.weights.w.tobytes() == stacked.weights.w.tobytes()
+        assert fit.effects.tobytes() == stacked.effects.tobytes() and fit.rmse_pre == stacked.rmse_pre
 
 
 def v_search_case():

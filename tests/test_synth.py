@@ -541,14 +541,6 @@ class TestVSearchGolden:
         assert solves < incumbent_solves
 
 
-def solve_alone(A, b):
-    """The solver's answer to one QP without a start: a stack of one, whose held error is raised."""
-    weights, errors = synth._solve_stack(A[None], b[None])
-    if errors:
-        raise errors[0]
-    return weights[0]
-
-
 @st.composite
 def warm_started_qps(draw):
     """(A, b, start) of a V-search QP with V on 1-3 periods, and an incumbent.
@@ -580,7 +572,7 @@ class TestWarmStart:
     def test_certified_warm_answer_is_the_cold_answer(self, qp):
         A, b, start = qp
         try:
-            cold = solve_alone(A, b)
+            cold = synth._solve_alone(A, b)
         except InferenceError:
             # from a value scale of about 1e2 some KKT systems are too badly
             # conditioned for the cold solve; then it has no answer to match
@@ -608,7 +600,7 @@ class TestWarmStart:
         assert warm is not None
         assert warm[0][:2].sum() == pytest.approx(1.0, abs=1e-12)  # a minimizer ...
         assert not synth._certified(A, b, *warm)  # ... but not the only one
-        cold = solve_alone(A, b)
+        cold = synth._solve_alone(A, b)
         assert np.array_equal(synth._solve_simplex_qp(A, b, start), cold)
 
     def test_non_stationary_cold_answer_is_refused(self):
@@ -620,7 +612,7 @@ class TestWarmStart:
         b = np.array([17709968.50410161, 1664059.01463281])
         uniform = np.full(2, 0.5)
         assert synth._active_set(A, b, uniform, uniform > 0, *synth._bordered(A, b)) is None
-        assert np.array_equal(solve_alone(A, b), [0.0, 1.0])
+        assert np.array_equal(synth._solve_alone(A, b), [0.0, 1.0])
         start = np.array([0.0, 1.0])
         assert np.array_equal(synth._solve_simplex_qp(A, b, start), start)
 
@@ -635,7 +627,7 @@ class TestWarmStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert synth._active_set(A, b, start.copy(), start > 0, *synth._bordered(A, b)) is None
-            cold = solve_alone(A, b)
+            cold = synth._solve_alone(A, b)
             assert np.array_equal(cold, [0.0, 1.0])
             assert np.array_equal(synth._solve_simplex_qp(A, b, start), cold)
 
@@ -646,7 +638,7 @@ class TestWarmStart:
 
     def test_unique_minimizer_is_certified(self):
         A, b = self.full_rank_qp()
-        cold = solve_alone(A, b)
+        cold = synth._solve_alone(A, b)
         start = np.full(4, 0.25)
         warm = synth._active_set(A, b, start.copy(), start > 0, *synth._bordered(A, b))
         assert synth._certified(A, b, *warm)
@@ -659,7 +651,7 @@ class TestWarmStart:
         A, b = self.full_rank_qp()
         start = np.array(start)
         start.setflags(write=False)
-        assert np.array_equal(synth._solve_simplex_qp(A, b, start), solve_alone(A, b))
+        assert np.array_equal(synth._solve_simplex_qp(A, b, start), synth._solve_alone(A, b))
 
     @pytest.mark.parametrize("name", ["lstsq", "eigvalsh", "solve"])
     def test_raising_public_call_is_refused_like_nan(self, name, monkeypatch, request):
@@ -667,7 +659,7 @@ class TestWarmStart:
         # gufuncs return nan; the binding returns nan instead, so the probe
         # stops or the warm attempt is refused, and the answer is the cold one
         A, b = self.full_rank_qp()
-        cold = solve_alone(A, b)
+        cold = synth._solve_alone(A, b)
         real, calls = getattr(np.linalg, name), []
 
         def first_call_raises(*args):
@@ -680,7 +672,7 @@ class TestWarmStart:
         request.getfixturevalue("public_lapack")  # binds the patched call
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(solve_alone(A, b), cold)
+            assert np.array_equal(synth._solve_alone(A, b), cold)
         assert calls
 
     @pytest.mark.parametrize("name, failed", [
@@ -691,7 +683,7 @@ class TestWarmStart:
     ], ids=["non-finite", "lapack-fails", "eigvalsh-fails"])
     def test_failed_warm_attempt_falls_back_to_cold(self, name, failed, monkeypatch):
         A, b = self.full_rank_qp()
-        cold = solve_alone(A, b)
+        cold = synth._solve_alone(A, b)
         real, calls = getattr(synth, name), []
 
         def first_call_fails(*args):
@@ -711,9 +703,9 @@ def assert_cold_bits_of_the_reference(A, b):
         expected = reference_simplex_qp(A, b, None)
     except InferenceError:
         with pytest.raises(InferenceError):
-            solve_alone(A, b)
+            synth._solve_alone(A, b)
         return
-    assert solve_alone(A, b).tobytes() == expected.tobytes()
+    assert synth._solve_alone(A, b).tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -809,7 +801,7 @@ class TestReferenceSolver:
         # cold and warm, the solver must give its bits or fail as it does
         A, b, start = qp
         for warm in (None, start):
-            solve = solve_alone if warm is None else functools.partial(synth._solve_simplex_qp, start=warm)
+            solve = synth._solve_alone if warm is None else functools.partial(synth._solve_simplex_qp, start=warm)
             try:
                 expected = reference_simplex_qp(A, b, warm)
             except InferenceError:
@@ -874,7 +866,7 @@ class TestWidePool:
                 return solve(*args)
 
             monkeypatch.setattr(module, "_equality_solve", counted)
-        assert solve_alone(A, b).tobytes() == reference_simplex_qp(A, b, None).tobytes()
+        assert synth._solve_alone(A, b).tobytes() == reference_simplex_qp(A, b, None).tobytes()
         assert calls["synthpanel.synth"] < calls["oracles"]
 
 
@@ -923,7 +915,7 @@ class TestScaledData:
         # has, judged by the grid oracle on that data
         x0, X1, v, scale = qp
         big_x0, big_X1 = scale * x0, scale * X1
-        w = solve_alone(big_X1.T @ (v[:, None] * big_X1), big_X1.T @ (v * big_x0))
+        w = synth._solve_alone(big_X1.T @ (v[:, None] * big_X1), big_X1.T @ (v * big_x0))
         assert objective_direct(x0, X1, v, w[None])[0] <= grid_search(x0, X1, v, 0.001) + 1e-8
 
     def test_rank_deficient_qp_from_the_demo_corpus(self):
@@ -936,5 +928,5 @@ class TestScaledData:
         b = np.array([float.fromhex(x) for x in qp["b"]])
         uniform = np.full(7, 1 / 7)
         assert synth._active_set(A, b, uniform, uniform > 0, *synth._bordered(A, b)) is None
-        w = solve_alone(A, b)
+        w = synth._solve_alone(A, b)
         assert w @ A @ w - 2.0 * b @ w == pytest.approx(-46749.1212121, abs=1e-6)
