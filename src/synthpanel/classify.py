@@ -5,6 +5,7 @@ outcome panels."""
 from __future__ import annotations
 
 import datetime as dt
+import re
 import string
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,7 +43,10 @@ def ascii_lower(text: str) -> str:
 
 @dataclass(frozen=True)
 class PhraseLexicon:
-    """Named list of exact lowercase phrases; embedded spaces are significant."""
+    """Named list of exact lowercase phrases; embedded spaces are significant.
+
+    No phrase holds a line break, so one read from a file never does.
+    """
 
     name: str
     phrases: tuple[str, ...]
@@ -55,6 +59,8 @@ class PhraseLexicon:
                 raise ConfigurationError(
                     f"lexicon {self.name!r} phrase {p!r} is not ASCII-lowercase"
                 )
+            if "\n" in p:
+                raise ConfigurationError(f"lexicon {self.name!r} phrase {p!r} holds a line break")
 
 
 def load_lexicon(path: Path | str, name: str) -> PhraseLexicon:
@@ -88,6 +94,21 @@ def match_phrases(text: str, lexicon: PhraseLexicon) -> bool:
     """True iff the ASCII-lowercased text contains any phrase as a substring."""
     low = ascii_lower(text)
     return any(p in low for p in lexicon.phrases)
+
+
+def _matches(texts: np.ndarray, phrases: tuple[str, ...]) -> np.ndarray:
+    """`match_phrases` of each text, as a bool array.
+
+    The texts are lowercased once, joined by line breaks, and searched in
+    one pass; no phrase holds a line break, so no match spans two texts.
+    """
+    hit = np.zeros(len(texts), dtype=bool)
+    if phrases:  # an empty alternation would match everywhere
+        ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1)
+        found = re.finditer("|".join(map(re.escape, phrases)), ascii_lower("\n".join(texts)))
+        starts = np.fromiter((m.start() for m in found), dtype=np.int64)
+        hit[np.searchsorted(ends, starts, side="right")] = True
+    return hit
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +275,7 @@ def read_tweets_csv(path: Path | str) -> TweetColumns:
 
 def bot_filter(tweets: TweetColumns, lexicons: dict[str, PhraseLexicon]) -> TweetColumns:
     """Drop every tweet whose user description matches the bot lexicon."""
-    bot = lexicons["bot"]
-    is_bot = {d: match_phrases(d, bot) for d in set(tweets.user_description)}
-    return tweets.take(np.array([not is_bot[d] for d in tweets.user_description], dtype=bool))
+    return tweets.take(~_matches(tweets.user_description, lexicons["bot"].phrases))
 
 
 def _codes(values: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -271,32 +290,22 @@ def tweet_table(
 ) -> TweetTable:
     """Classify bot-filtered tweets once into a column table for any calendar.
 
-    Each text is ASCII-lowercased and matched once (sources, descriptions
-    and locations once per distinct value). A user's `infrequent` flag
-    comes from their first tweet by (timestamp, tweet_id): statuses_count
-    below the whole days since account creation (floored at one day),
-    that is, under one tweet per day. A tweet or account-creation date
-    outside 1970-2100 raises PanelRangeError.
+    Each lexicon is matched once over each column it applies to
+    (`_matches`). A user's `infrequent` flag comes from their first tweet
+    by (timestamp, tweet_id): statuses_count below the whole days since
+    account creation (floored at one day), that is, under one tweet per
+    day. A tweet or account-creation date outside 1970-2100 raises
+    PanelRangeError.
     """
-    collective = lexicons["collective"].phrases
-    political = lexicons["political"].phrases
-    apple = {s: match_phrases(s, lexicons["apple_source"]) for s in set(tweets.source)}
-    student = {
-        s: match_phrases(s, lexicons["student"])
-        for s in set(tweets.user_description) | set(tweets.user_location)
-    }
-    bits = np.zeros(len(tweets), dtype=np.uint8)
-    rows = zip(tweets.text, tweets.source, tweets.user_description, tweets.user_location)
-    for i, (text, source, description, location) in enumerate(rows):
-        low = ascii_lower(text)
-        b = APPLE_SOURCE if apple[source] else 0
-        if student[description] or student[location]:
-            b |= STUDENT
-        if any(p in low for p in collective):
-            b |= COLLECTIVE | (TAX if "tax" in low else 0)
-        if any(p in low for p in political):
-            b |= POLITICAL
-        bits[i] = b
+    student = lexicons["student"].phrases
+    collective = _matches(tweets.text, lexicons["collective"].phrases)
+    bits = (
+        APPLE_SOURCE * _matches(tweets.source, lexicons["apple_source"].phrases)
+        | STUDENT * (_matches(tweets.user_description, student) | _matches(tweets.user_location, student))
+        | COLLECTIVE * collective
+        | TAX * (collective & _matches(tweets.text, ("tax",)))
+        | POLITICAL * _matches(tweets.text, lexicons["political"].phrases)
+    ).astype(np.uint8)
     user_ids, user = _codes(tweets.user_id)
     countries, country = _codes(tweets.country_code)
     # each user's first tweet by (timestamp, tweet_id), ties kept in file order

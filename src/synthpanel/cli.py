@@ -607,8 +607,7 @@ def _resolve(argv: list[str] | None) -> argparse.Namespace:
         # on the command line wins in any spelling argparse accepts
         config = {args.command: _config_values(args.config, args.command)}
         args = build_parser(config).parse_args(argv)
-    if not 0.0 < args.restriction <= 1.0:
-        raise ConfigurationError("restriction parameter must be in (0, 1]")
+    SampleRestriction(parameter=args.restriction)  # refuses a bad value before ingest
     for attr in ("tweets", "events", "lexicons"):
         path = getattr(args, attr, None)
         if path is not None and not Path(path).exists():

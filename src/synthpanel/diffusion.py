@@ -334,11 +334,11 @@ def equilibria(
     sub = _feasible_grid(q, v, p, grid_n)
     with np.errstate(over="ignore", invalid="ignore"):  # a phi that is not finite is refused
         points, labels, values = find_fixed_points(lambda x: phi(x, q, v, p), sub)
+        kept = [(x, lab) for x, lab in zip(points, labels) if abs(phi(x, q, v, p) - x) < FIXED_POINT_TOL]
     if not np.isfinite(values).all():
         raise ConfigurationError(
             f"phi is not finite at price {q}: the response or population values are too extreme"
         )
-    kept = [(x, lab) for x, lab in zip(points, labels) if abs(phi(x, q, v, p) - x) < FIXED_POINT_TOL]
     return EquilibriumSet(
         q=q,
         fixed_points=tuple(x for x, _ in kept),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthpanel import classify
 from synthpanel.classify import (
     APPLE_SOURCE,
     COLLECTIVE,
@@ -81,6 +82,10 @@ class TestLexicons:
         with pytest.raises(ConfigurationError):
             PhraseLexicon(name="x", phrases=("Bad",))
 
+    def test_line_break_in_phrase_rejected(self):
+        with pytest.raises(ConfigurationError, match="line break"):
+            PhraseLexicon(name="x", phrases=("join\nus",))
+
     def test_overlapping_lexicons_rejected(self, tmp_path):
         src = Path(__file__).parents[1] / "src" / "synthpanel" / "lexicons" / "v1"
         for name in ("collective", "political", "bot", "apple_source", "student"):
@@ -115,6 +120,38 @@ class TestMatchPhrases:
         # dotted capital I must not fold into a plain i
         assert ascii_lower("İos device") == "İos device"
         assert not match_phrases("VİOLENCE", LEX["collective"])
+
+
+class TestColumnMatcher:
+    """`classify._matches` over a column agrees with `match_phrases` per text."""
+
+    @staticmethod
+    def matches(texts, lexicon):
+        return classify._matches(np.array(texts, dtype=object), lexicon.phrases).tolist()
+
+    @pytest.mark.parametrize("texts, name", [
+        (["join the prot", "est"], "collective"),
+        (["our", "mp said"], "political"),
+        (["our MP", " said"], "political"),
+    ])
+    def test_adjacent_texts_never_form_one_phrase(self, texts, name):
+        # joined by nothing or by a space, the two texts would hold a phrase
+        assert any(match_phrases(sep.join(texts), LEX[name]) for sep in ("", " "))
+        assert self.matches(texts, LEX[name]) == [False, False]
+        # nor do adjacent tweets of the table
+        bits = table_of([Tweet(tweet_id=str(i), text=t) for i, t in enumerate(texts)]).bits
+        assert (bits & (COLLECTIVE | POLITICAL)).tolist() == [0, 0]
+
+    def test_regex_metacharacters_are_literal(self):
+        lexicon = PhraseLexicon(name="meta", phrases=("c++", "a.b", "(x", "\\d"))
+        texts = ["c++", "cc", "C++ code", "a.b", "axb", "(x", "x)", "\\d", "7", "", "a.b\n(x"]
+        expected = [match_phrases(t, lexicon) for t in texts]
+        assert expected == [True, False, True, True, False, True, False, True, False, False, True]
+        assert self.matches(texts, lexicon) == expected
+
+    def test_empty_lexicon_matches_nothing(self):
+        lexicon = PhraseLexicon(name="none", phrases=())
+        assert self.matches(["protest", ""], lexicon) == [False, False]
 
 
 class TestBotFilter:
@@ -279,6 +316,14 @@ class TestTweetTable:
         assert table.bits.tolist() == [
             APPLE_SOURCE | STUDENT | COLLECTIVE | POLITICAL | TAX, STUDENT,
         ]
+
+    def test_no_tweets_give_an_empty_table(self):
+        table = tweet_table(bot_filter(columns_of([]), LEX), LEX, CAL10.anchor_date)
+        assert table.countries == ()
+        for column in (table.day, table.created_day, table.user, table.country, table.bits,
+                       table.infrequent):
+            assert len(column) == 0
+        assert table.bits.dtype == np.uint8
 
     @pytest.mark.parametrize("field, value", [
         ("timestamp", dt.datetime(2101, 1, 1, tzinfo=UTC)),

@@ -205,6 +205,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert fits == []  # refused before any fit
 
+    @pytest.mark.parametrize("command", ["estimate", "diffusion"])
+    @pytest.mark.parametrize("restriction", ["0", "1.5", "nan"])
+    def test_restriction_out_of_range_is_refused_before_ingest(
+        self, tmp_path, monkeypatch, capsys, command, restriction
+    ):
+        (tmp_path / "tweets.csv").write_text("not a tweet csv\n")  # never read
+        code = run_in(tmp_path, monkeypatch, [
+            command, "--tweets", "tweets.csv", "--restriction", restriction, "--out", "out",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: restriction parameter must be in (0, 1]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_too_few_donors_is_inference_error(self, tmp_path, monkeypatch, capsys):
         spec = CorpusSpec(countries=("UG", "KE", "GH", "RW"), pre_days=40,
                           post_days=20, base_users=6.0, seed=5)
@@ -678,6 +691,17 @@ class TestDiffusionCommand:
         assert len(qs) == 5
         tops = [by_q[q] for q in qs]
         assert all(b >= a - 1e-9 for a, b in zip(tops, tops[1:]))
+
+    def test_overflow_inside_phi_leaves_stderr_empty(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "synthpanel.cli", "diffusion", "--mu-w", "1e308",
+             "--q-steps", "2", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_phi_curve_csv_structure(self, tmp_path, monkeypatch):
         run_in(

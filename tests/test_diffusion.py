@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ class TestEquilibria:
         p = PopulationParams(mu_c=1.0, mu_w=0.0, sigma_c=1.0, sigma_w=0.5, rho=0.0)
         with pytest.raises(EmptyPlatformError):
             equilibria(60.0, ResponseFunction.linear(0.01), p)
+
+    def test_overflow_inside_phi_warns_nothing(self):
+        # the grid scan and the fixed-point filter both evaluate phi, whose
+        # quadrature overflows harmlessly at so large a valuation mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = equilibria(0.0, V_LIN, PopulationParams(1.0, 1e308, 1.0, 1.0, -0.5))
+        large = equilibria(0.0, V_LIN, PopulationParams(1.0, 1e150, 1.0, 1.0, -0.5))
+        assert huge.labels == large.labels == ("stable",)
+        assert huge.fixed_points == large.fixed_points
 
 
 GRID_RESIDUALS = st.one_of(
