@@ -5,13 +5,14 @@ A line counts when a token other than a comment, a line break or an
 indent lies on it, and it is not part of a docstring. Prints one line per
 module and the total.
 
-Usage: python scripts/code_lines.py [package_dir]
+Usage: python scripts/code_lines.py
 """
 
 import ast
-import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "synthpanel"
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -31,9 +32,9 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(package: Path) -> None:
+def main() -> None:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         n = code_lines(path)
         total += n
         print(f"{n:6d}  {path.name}")
@@ -41,4 +42,4 @@ def main(package: Path) -> None:
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "synthpanel")
+    main()

@@ -45,7 +45,8 @@ def ascii_lower(text: str) -> str:
 class PhraseLexicon:
     """Named list of exact lowercase phrases; embedded spaces are significant.
 
-    No phrase holds a line break, so one read from a file never does.
+    No phrase holds a line break, which `_matches` puts between texts; a
+    lexicon read from a file never holds one.
     """
 
     name: str
