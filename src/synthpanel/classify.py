@@ -97,19 +97,30 @@ def match_phrases(text: str, lexicon: PhraseLexicon) -> bool:
     return any(p in low for p in lexicon.phrases)
 
 
-def _matches(texts: np.ndarray, phrases: tuple[str, ...]) -> np.ndarray:
-    """`match_phrases` of each text, as a bool array.
+def _joined(texts: np.ndarray) -> tuple[str, np.ndarray]:
+    """The texts ASCII-lowercased and joined by line breaks, and the offset
+    just past each text's line break in that string."""
+    ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1)
+    return ascii_lower("\n".join(texts)), ends
 
-    The texts are lowercased once, joined by line breaks, and searched in
-    one pass; no phrase holds a line break, so no match spans two texts.
-    """
-    hit = np.zeros(len(texts), dtype=bool)
+
+def _hits(joined: tuple[str, np.ndarray], phrases: tuple[str, ...]) -> np.ndarray:
+    """`match_phrases` of each text of a `_joined` column, as a bool array,
+    from one regex pass; no phrase holds a line break, so no match spans
+    two texts."""
+    text, ends = joined
+    hit = np.zeros(len(ends), dtype=bool)
     if phrases:  # an empty alternation would match everywhere
-        ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1)
-        found = re.finditer("|".join(map(re.escape, phrases)), ascii_lower("\n".join(texts)))
+        found = re.finditer("|".join(map(re.escape, phrases)), text)
         starts = np.fromiter((m.start() for m in found), dtype=np.int64)
         hit[np.searchsorted(ends, starts, side="right")] = True
     return hit
+
+
+def _matches(texts: np.ndarray, phrases: tuple[str, ...]) -> np.ndarray:
+    """`match_phrases` of each text, as a bool array: the texts are
+    lowercased once, joined, and searched in one pass."""
+    return _hits(_joined(texts), phrases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +230,8 @@ _DAY_US = 86_400_000_000
 _INTEGER_COLUMNS = ("timestamp", "user_created_at", "statuses_count")
 # larger counts are stored as this int64 maximum, which still exceeds every day count
 _MAX_STATUSES = 2**63 - 1
+# rows parsed and classified at a time by `read_tweet_table`
+CHUNK_ROWS = 4096
 
 
 def _parse_timestamp(raw: str, row: int, column: str) -> int:
@@ -232,13 +245,10 @@ def _parse_timestamp(raw: str, row: int, column: str) -> int:
     return (parsed - _EPOCH) // _MICROSECOND
 
 
-def read_tweets_csv(path: Path | str) -> TweetColumns:
-    """Parse the tweet CSV schema (RFC 4180, header required, UTF-8) into columns.
-
-    Rows are checked in file order and the first bad one raises
-    SchemaError with its row number.
-    """
-    rows = []
+def _checked_rows(path: Path | str):
+    """Each row of the tweet CSV schema (RFC 4180, header required, UTF-8)
+    as a tuple of `TweetColumns` fields, checked in file order: the first
+    bad row raises SchemaError with its row number."""
     # an account's creation time repeats on each of its tweets, so each
     # distinct string is parsed once; a bad one is never stored, so every
     # row that holds it raises
@@ -262,10 +272,13 @@ def read_tweets_csv(path: Path | str) -> TweetColumns:
             created_at = created_us[created] = _parse_timestamp(created, row_no, "user_created_at")
         if at < created_at:
             raise SchemaError(f"row {row_no}: timestamp precedes user_created_at")
-        rows.append((
+        yield (
             tweet_id, user_id, at, country.upper(), text, source, created_at,
             min(count, _MAX_STATUSES), description, location,
-        ))
+        )
+
+
+def _columns(rows: list[tuple]) -> TweetColumns:
     names = [f.name for f in fields(TweetColumns)]
     columns = zip(*rows) if rows else [()] * len(names)
     return TweetColumns(*(
@@ -274,55 +287,159 @@ def read_tweets_csv(path: Path | str) -> TweetColumns:
     ))
 
 
+def _chunks(path: Path | str):
+    """The checked rows of the tweet CSV as `TweetColumns` of CHUNK_ROWS
+    rows each, the last one shorter."""
+    rows = []
+    for row in _checked_rows(path):
+        rows.append(row)
+        if len(rows) == CHUNK_ROWS:
+            yield _columns(rows)
+            rows = []
+    if rows:
+        yield _columns(rows)
+
+
+def read_tweets_csv(path: Path | str) -> TweetColumns:
+    """Parse the tweet CSV schema (RFC 4180, header required, UTF-8) into
+    columns: the whole file as one chunk of `read_tweet_table`'s rows.
+
+    Rows are checked in file order and the first bad one raises
+    SchemaError with its row number.
+    """
+    return _columns(list(_checked_rows(path)))
+
+
 def bot_filter(tweets: TweetColumns, lexicons: dict[str, PhraseLexicon]) -> TweetColumns:
     """Drop every tweet whose user description matches the bot lexicon."""
     return tweets.take(~_matches(tweets.user_description, lexicons["bot"].phrases))
 
 
-def _codes(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct strings of `values`, and each value's index among them."""
-    distinct = sorted(set(values))
-    index = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each string's index among the sorted distinct strings of `values`."""
+    index = {v: i for i, v in enumerate(sorted(set(values)))}
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _provisional_codes(index: dict[str, int], values: np.ndarray) -> np.ndarray:
+    """Each value's code in `index`, a new value taking the next code."""
+    return np.fromiter(
+        (index.setdefault(v, len(index)) for v in values), dtype=np.int64, count=len(values)
+    )
+
+
+def _sorted_codes(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The sorted values of `index`, and the sorted position of each of its codes."""
+    distinct = sorted(index)
+    position = np.empty(len(distinct), dtype=np.int64)
+    position[np.array([index[v] for v in distinct], dtype=np.int64)] = np.arange(len(distinct))
+    return distinct, position
+
+
+class _TableParts:
+    """What the chunks of one `TweetTable` keep, in file order.
+
+    Per tweet: its UTC day numbers, provisional user and country codes,
+    numbered in order of first sight, and bits. Per user, by provisional
+    code: the timestamp, tweet id and `infrequent` flag of their first
+    tweet so far by (timestamp, tweet_id), ties kept in file order.
+    """
+
+    def __init__(self, lexicons: dict[str, PhraseLexicon]):
+        self.lexicons = lexicons
+        self.users: dict[str, int] = {}
+        self.countries: dict[str, int] = {}
+        none = np.empty(0, dtype=np.int64)
+        self.kept = [(none, none, none, none, np.empty(0, dtype=np.uint8))]
+        self.first = (none, np.empty(0, dtype=object), np.empty(0, dtype=bool))
+
+    def add(self, tweets: TweetColumns) -> None:
+        """Classify a chunk of bot-filtered tweets, each lexicon matched
+        once over each column it applies to, and keep its parts."""
+        lex = self.lexicons
+        student = lex["student"].phrases
+        text = _joined(tweets.text)
+        collective = _hits(text, lex["collective"].phrases)
+        bits = (
+            APPLE_SOURCE * _matches(tweets.source, lex["apple_source"].phrases)
+            | STUDENT * (_matches(tweets.user_description, student) | _matches(tweets.user_location, student))
+            | COLLECTIVE * collective
+            | TAX * (collective & _hits(text, ("tax",)))
+            | POLITICAL * _hits(text, lex["political"].phrases)
+        ).astype(np.uint8)
+        user = _provisional_codes(self.users, tweets.user_id)
+        self.kept.append((
+            tweets.timestamp // _DAY_US, tweets.user_created_at // _DAY_US,
+            user, _provisional_codes(self.countries, tweets.country_code), bits,
+        ))
+        # under one tweet a day: statuses_count below the whole days since
+        # account creation, floored at one day
+        whole_days = (tweets.timestamp - tweets.user_created_at) // _DAY_US
+        infrequent = tweets.statuses_count < np.maximum(whole_days, 1)
+        # the users' first tweets so far, then this chunk's, which come later in the file
+        user = np.concatenate((np.arange(len(self.first[0])), user))
+        timestamp, tweet_id, infrequent = (
+            np.concatenate(pair)
+            for pair in zip(self.first, (tweets.timestamp, tweets.tweet_id, infrequent))
+        )
+        order = np.lexsort((_ranks(tweet_id), timestamp, user))
+        first = order[np.searchsorted(user[order], np.arange(len(self.users)))]
+        self.first = timestamp[first], tweet_id[first], infrequent[first]
+
+    def table(self, anchor_date: dt.date) -> TweetTable:
+        """The table of every kept chunk, its codes in sorted order. A tweet
+        or account-creation date outside 1970-2100 raises PanelRangeError."""
+        day, created_day, user, country, bits = (np.concatenate(column) for column in zip(*self.kept))
+        _, user_code = _sorted_codes(self.users)
+        countries, country_code = _sorted_codes(self.countries)
+        _, _, first_infrequent = self.first
+        infrequent = np.empty(len(user_code), dtype=bool)
+        infrequent[user_code] = first_infrequent
+        return TweetTable(
+            anchor_date=anchor_date,
+            countries=tuple(countries),
+            day=day_offsets(day, anchor_date),
+            created_day=day_offsets(created_day, anchor_date),
+            user=user_code[user],
+            country=country_code[country],
+            bits=bits,
+            infrequent=infrequent,
+        )
 
 
 def tweet_table(
     tweets: TweetColumns, lexicons: dict[str, PhraseLexicon], anchor_date: dt.date
 ) -> TweetTable:
-    """Classify bot-filtered tweets once into a column table for any calendar.
+    """Classify bot-filtered tweets once into a column table for any
+    calendar: `read_tweet_table` with the tweets as its one chunk.
 
-    Each lexicon is matched once over each column it applies to
-    (`_matches`). A user's `infrequent` flag comes from their first tweet
-    by (timestamp, tweet_id): statuses_count below the whole days since
+    A user's `infrequent` flag comes from their first tweet by
+    (timestamp, tweet_id): statuses_count below the whole days since
     account creation (floored at one day), that is, under one tweet per
     day. A tweet or account-creation date outside 1970-2100 raises
     PanelRangeError.
     """
-    student = lexicons["student"].phrases
-    collective = _matches(tweets.text, lexicons["collective"].phrases)
-    bits = (
-        APPLE_SOURCE * _matches(tweets.source, lexicons["apple_source"].phrases)
-        | STUDENT * (_matches(tweets.user_description, student) | _matches(tweets.user_location, student))
-        | COLLECTIVE * collective
-        | TAX * (collective & _matches(tweets.text, ("tax",)))
-        | POLITICAL * _matches(tweets.text, lexicons["political"].phrases)
-    ).astype(np.uint8)
-    user_ids, user = _codes(tweets.user_id)
-    countries, country = _codes(tweets.country_code)
-    # each user's first tweet by (timestamp, tweet_id), ties kept in file order
-    order = np.lexsort((_codes(tweets.tweet_id)[1], tweets.timestamp, user))
-    first = order[np.searchsorted(user[order], np.arange(len(user_ids)))]
-    whole_days = (tweets.timestamp[first] - tweets.user_created_at[first]) // _DAY_US
-    return TweetTable(
-        anchor_date=anchor_date,
-        countries=tuple(countries),
-        day=day_offsets(tweets.timestamp // _DAY_US, anchor_date),
-        created_day=day_offsets(tweets.user_created_at // _DAY_US, anchor_date),
-        user=user,
-        country=country,
-        bits=bits,
-        infrequent=tweets.statuses_count[first] < np.maximum(whole_days, 1),
-    )
+    parts = _TableParts(lexicons)
+    parts.add(tweets)
+    return parts.table(anchor_date)
+
+
+def read_tweet_table(
+    path: Path | str, lexicons: dict[str, PhraseLexicon], anchor_date: dt.date
+) -> TweetTable:
+    """`tweet_table(bot_filter(read_tweets_csv(path), lexicons), lexicons,
+    anchor_date)`, read in chunks of CHUNK_ROWS rows.
+
+    Each chunk is checked, bot-filtered and classified, and keeps only
+    its `_TableParts`, so no more than one chunk's parsed fields are
+    ever held. The dates are checked against 1970-2100 after the last chunk,
+    so a SchemaError in any row wins over a PanelRangeError in an earlier
+    one, as it does when the whole file is parsed first.
+    """
+    parts = _TableParts(lexicons)
+    for chunk in _chunks(path):
+        parts.add(bot_filter(chunk, lexicons))
+    return parts.table(anchor_date)
 
 
 def user_period_flags(table: TweetTable, cal: PeriodCalendar) -> UserPeriodFlags:

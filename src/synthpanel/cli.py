@@ -27,10 +27,8 @@ from .classify import (
     PROPORTION_OUTCOMES,
     TweetTable,
     UserPeriodFlags,
-    bot_filter,
     load_lexicons,
-    read_tweets_csv,
-    tweet_table,
+    read_tweet_table,
     twitter_outcomes,
     user_period_flags,
 )
@@ -168,12 +166,12 @@ class RunInputs:
 
     An instance lives as long as one `main()` call, so each run reads its
     files afresh. The tweet CSV is parsed, bot-filtered and classified
-    into one tweet table. This is the one place that builds panels from
-    it: its flags once per calendar and its outcome panels once per
-    calendar and window, shared by `estimate`, `falsify` and each
-    `aggregate` level. An outcome is prepared and estimated once over the
-    run's window, for both `estimate` and `placebo`, and its aggregation
-    collector is built once. Every estimate's fits go through
+    chunk by chunk into one tweet table. This is the one place that
+    builds panels from it: its flags once per calendar and its outcome
+    panels once per calendar and window, shared by `estimate`, `falsify`
+    and each `aggregate` level. An outcome is prepared and estimated once
+    over the run's window, for both `estimate` and `placebo`, and its
+    aggregation collector is built once. Every estimate's fits go through
     `inference.submit_estimates`, the V searches to the run's one `pool`,
     which `main()` closes. Callers must not mutate what they get back.
     """
@@ -188,12 +186,11 @@ class RunInputs:
 
     @cached_property
     def tweets(self) -> TweetTable:
-        """The bot-filtered tweets, classified once, as a table."""
+        """The bot-filtered tweets, classified once, as a table, read in
+        chunks that keep only the table's inputs (`read_tweet_table`)."""
         if not self.args.tweets:
             raise ConfigurationError("this command needs --tweets")
-        lexicons = load_lexicons(self.args.lexicons)
-        tweets = bot_filter(read_tweets_csv(self.args.tweets), lexicons)
-        return tweet_table(tweets, lexicons, self.args.anchor)
+        return read_tweet_table(self.args.tweets, load_lexicons(self.args.lexicons), self.args.anchor)
 
     def flags(self, length: int) -> UserPeriodFlags:
         """The tweets' user-period flags on the calendar of `length`-day periods."""

@@ -1,6 +1,8 @@
 import datetime as dt
+import random
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from synthpanel.classify import (
     bot_filter,
     load_lexicons,
     match_phrases,
+    read_tweet_table,
     read_tweets_csv,
     tweet_table,
     twitter_outcomes,
@@ -695,3 +698,98 @@ def test_columnar_reader_and_table_match_per_row_reference(rows):
     assert table.created_day.tolist() == [period(r.user_created_at, CAL1) for r in kept]
     assert table.bits.tolist() == [reference_bits(r) for r in kept]
     assert table.infrequent.tolist() == [infrequent(first[u]) for u in users]
+
+
+CHUNK = classify.CHUNK_ROWS
+
+
+def whole_file_table(path):
+    return tweet_table(bot_filter(read_tweets_csv(path), LEX), LEX, CAL10.anchor_date)
+
+
+def assert_same_table(table, expected):
+    assert (table.anchor_date, table.countries) == (expected.anchor_date, expected.countries)
+    for name in ("day", "created_day", "user", "country", "bits", "infrequent"):
+        column, want = getattr(table, name), getattr(expected, name)
+        assert column.dtype == want.dtype and column.tolist() == want.tolist(), name
+
+
+class TestChunkedIngest:
+    """`read_tweet_table` over files longer than one chunk of CHUNK_ROWS rows."""
+
+    def test_streamed_table_equals_the_whole_file_table(self, tmp_path):
+        rng = random.Random(0)
+        instants = [dt.datetime(2018, 6, 30, 23, 30, tzinfo=UTC), dt.datetime(2018, 7, 1, 0, 30, tzinfo=UTC),
+                    dt.datetime(2018, 7, 9, tzinfo=UTC)]
+        # few tweet ids, users and instants, so (timestamp, tweet_id) ties cross chunks
+        tweets = [Tweet(
+            tweet_id=str(rng.randrange(50)), user_id=f"u{rng.randrange(400)}", timestamp=rng.choice(instants),
+            country_code=rng.choice(["UG", "ke", "Gh"]), text=rng.choice(["Protest the TAX", "our MP said", "hi"]),
+            source=rng.choice(["Twitter for iPhone", "web"]),
+            user_created_at=dt.datetime(2018, 6, rng.randrange(1, 29), tzinfo=UTC),
+            statuses_count=rng.randrange(60), user_description=rng.choice(["", "Hiring now", "student"]),
+            user_location=rng.choice(["", "University"]),
+        ) for _ in range(3 * CHUNK + 5)]
+        path = tmp_path / "tweets.csv"
+        write_tweets(path, tweets)
+        table = read_tweet_table(path, LEX, CAL10.anchor_date)
+        assert CHUNK < len(table.day) < len(tweets)
+        assert_same_table(table, whole_file_table(path))
+        first = first_tweets(reference_bot_filter(read_tweets(path)))
+        assert table.infrequent.tolist() == [infrequent(first[u]) for u in sorted(first)]
+
+    @pytest.mark.parametrize("row_no", [CHUNK + 1, CHUNK + 2])
+    def test_bad_row_at_a_chunk_edge_reports_its_row(self, tmp_path, row_no):
+        # file row 1 is the header, so row CHUNK + 1 ends the first chunk
+        tweets = [Tweet(tweet_id=str(i)) for i in range(CHUNK + 10)]
+        tweets[row_no - 2] = replace(tweets[row_no - 2], country_code="UGA")
+        path = tmp_path / "tweets.csv"
+        write_tweets(path, tweets)
+        for read in (read_tweets_csv, lambda p: read_tweet_table(p, LEX, CAL10.anchor_date)):
+            with pytest.raises(SchemaError, match=f"^row {row_no}: country_code 'UGA'"):
+                read(path)
+
+    def test_schema_error_in_a_later_chunk_wins_over_an_earlier_date_out_of_range(self, tmp_path):
+        tweets = [Tweet(tweet_id=str(i)) for i in range(2 * CHUNK)]
+        tweets[0] = replace(tweets[0], timestamp=dt.datetime(2101, 1, 1, tzinfo=UTC))
+        path = tmp_path / "tweets.csv"
+        write_tweets(path, tweets[:-1] + [replace(tweets[-1], statuses_count=-1)])
+        with pytest.raises(SchemaError, match=f"^row {2 * CHUNK + 1}: statuses_count is negative$"):
+            read_tweet_table(path, LEX, CAL10.anchor_date)
+        write_tweets(path, tweets)
+        with pytest.raises(PanelRangeError, match="^timestamp 2101-01-01 outside"):
+            read_tweet_table(path, LEX, CAL10.anchor_date)
+
+    @pytest.mark.parametrize("tie_order", ["frequent first", "infrequent first"])
+    def test_first_tweet_in_a_later_chunk(self, tmp_path, tie_order):
+        created = dt.datetime(2018, 6, 1, tzinfo=UTC)
+        # "late" tweets in the first chunk 29 days after creation (infrequent at 5
+        # statuses), but its first tweet, 2 days after creation, is in the second chunk
+        late = [Tweet(tweet_id=tid, user_id="late", timestamp=dt.datetime(2018, 6, day, tzinfo=UTC),
+                      user_created_at=created, statuses_count=5) for tid, day in (("z", 30), ("a", 3))]
+        # "tie" tweets twice at the same (timestamp, tweet_id), once in each chunk:
+        # its earlier row is its first tweet
+        tie = [Tweet(tweet_id="t", user_id="tie", timestamp=dt.datetime(2018, 7, 1, tzinfo=UTC),
+                     user_created_at=created, statuses_count=count) for count in (100, 1)]
+        if tie_order == "infrequent first":
+            tie.reverse()
+        filler = [Tweet(tweet_id=f"f{i}", user_id=f"f{i % 7}") for i in range(CHUNK + 10)]
+        tweets = filler[:5] + [late[0], tie[0]] + filler[5:] + [late[1], tie[1]]
+        path = tmp_path / "tweets.csv"
+        write_tweets(path, tweets)
+        table = read_tweet_table(path, LEX, CAL10.anchor_date)
+        assert_same_table(table, whole_file_table(path))
+        first = first_tweets(tweets)
+        users = sorted(first)
+        assert table.infrequent.tolist() == [infrequent(first[u]) for u in users]
+        assert table.infrequent[users.index("late")] == False  # noqa: E712
+        assert table.infrequent[users.index("tie")] == (tie_order == "infrequent first")
+
+    @pytest.mark.parametrize("n, chunks", [(0, []), (CHUNK, [CHUNK]), (CHUNK + 1, [CHUNK, 1])])
+    def test_header_only_and_whole_chunks(self, tmp_path, n, chunks):
+        path = tmp_path / "tweets.csv"
+        write_tweets(path, [Tweet(tweet_id=str(i), user_id=f"u{i % 3}") for i in range(n)])
+        assert [len(chunk) for chunk in classify._chunks(path)] == chunks
+        table = read_tweet_table(path, LEX, CAL10.anchor_date)
+        assert len(table.day) == n
+        assert_same_table(table, whole_file_table(path))

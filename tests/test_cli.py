@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -349,7 +350,7 @@ class TestExitCodes:
     ):
         # level 1 is valid and would start the pool for its V searches
         pools = report_cpus(2)
-        monkeypatch.setattr(cli, "read_tweets_csv", lambda path: pytest.fail("the tweets were read"))
+        monkeypatch.setattr(cli, "read_tweet_table", lambda *args: pytest.fail("the tweets were read"))
         (tmp_path / "run.toml").write_text('levels = "1,3"\n')
         given = ["--levels", "1,3"] if where == "flag" else ["--config", "run.toml"]
         code = run_in(tmp_path, monkeypatch, [
@@ -837,10 +838,14 @@ OUTCOMES = ["--outcome", "users,prop_collective_users,events"]
 
 
 class CallCounter:
-    """Wraps a function and records `key(*args)` for each call."""
+    """Wraps a function, or a method when set on a class, and records
+    `key(*args)` for each call."""
 
     def __init__(self, fn, key=lambda *args: args[0]):
         self.fn, self.key, self.seen = fn, key, []
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else types.MethodType(self, instance)
 
     def __call__(self, *args, **kwargs):
         self.seen.append(self.key(*args))
@@ -854,10 +859,11 @@ def all_figures_run(tmp_path_factory):
     write_corpus(root / "data", LONG_SPEC)
     period_days = lambda table, cal: cal.period_length_days  # noqa: E731
     counters = {
-        "tweets": CallCounter(cli.read_tweets_csv),
+        "tweets": CallCounter(cli.read_tweet_table),
         "events": CallCounter(cli.read_events_csv),
-        "bot_filter": CallCounter(cli.bot_filter, lambda records, lexicons: len(records)),
-        "table": CallCounter(cli.tweet_table, lambda records, lexicons, anchor: len(records)),
+        "bot_filter": CallCounter(classify.bot_filter, lambda records, lexicons: len(records)),
+        "kept": CallCounter(classify._TableParts.add, lambda parts, records: len(records)),
+        "table": CallCounter(classify._TableParts.table, lambda parts, anchor: anchor),
         "lowercased": CallCounter(classify.ascii_lower, len),
         "flags": CallCounter(cli.user_period_flags, period_days),
         "estimates": CallCounter(cli.estimate_outcome, lambda panel, *args: panel.outcome_name),
@@ -865,8 +871,9 @@ def all_figures_run(tmp_path_factory):
     }
     with pytest.MonkeyPatch.context() as mp:
         for module, name, counter in (
-            (cli, "read_tweets_csv", "tweets"), (cli, "read_events_csv", "events"),
-            (cli, "bot_filter", "bot_filter"), (cli, "tweet_table", "table"),
+            (cli, "read_tweet_table", "tweets"), (cli, "read_events_csv", "events"),
+            (classify, "bot_filter", "bot_filter"), (classify._TableParts, "add", "kept"),
+            (classify._TableParts, "table", "table"),
             (classify, "ascii_lower", "lowercased"),
             (cli, "user_period_flags", "flags"),
             (cli, "estimate_outcome", "estimates"), (cli, "prepare_outcome", "prepared"),
@@ -885,11 +892,16 @@ class TestSharedIngest:
         root, seen = all_figures_run
         assert seen["tweets"] == [str(root / "data" / "tweets.csv")]
         assert seen["events"] == [str(root / "data" / "events.csv")]
-        assert len(seen["bot_filter"]) == 1
+        # each row is bot-filtered once, in chunks of CHUNK_ROWS rows
+        rows = len(classify.read_tweets_csv(root / "data" / "tweets.csv"))
+        assert rows > classify.CHUNK_ROWS
+        assert sum(seen["bot_filter"]) == rows
+        assert len(seen["bot_filter"]) == len(seen["kept"]) == -(-rows // classify.CHUNK_ROWS)
         # one table build and one lexicon pass, whatever the number of calendars:
         # every text is lowercased once, by the bot filter or the table build
-        (kept,) = seen["table"]
-        assert len(seen["lowercased"]) <= seen["bot_filter"][0] + 4 * kept
+        assert seen["table"] == [LONG_SPEC.anchor]
+        kept = sum(seen["kept"])
+        assert len(seen["lowercased"]) <= sum(seen["bot_filter"]) + 4 * kept
         # one build per calendar, shared by every outcome, window and aggregate level
         assert seen["flags"] == [1, 7, 10, 28]
 
@@ -906,8 +918,8 @@ class TestSharedIngest:
 
     def test_each_run_reads_its_inputs_afresh(self, tmp_path, monkeypatch):
         shutil.copy(DATA / "tweets_fixture.csv", tmp_path / "tweets.csv")
-        reads = CallCounter(cli.read_tweets_csv)
-        monkeypatch.setattr(cli, "read_tweets_csv", reads)
+        reads = CallCounter(cli.read_tweet_table)
+        monkeypatch.setattr(cli, "read_tweet_table", reads)
         argv = ["build-panel", "--tweets", "tweets.csv", "--t-min", "-2", "--out", "out"]
         assert run_in(tmp_path, monkeypatch, argv) == 0
         assert run_in(tmp_path, monkeypatch, argv) == 0
